@@ -1,122 +1,89 @@
-"""Evaluation and interpolation of t -> trace((A + t*B)^-1) for SPD A, B."""
+"""Evaluation and interpolation of t -> trace((A + t*B)^-1) for SPD A, B.
+
+The exports below are loaded from their submodules on first access, so
+importing the package (or ``traceinv.cli``) does not load numpy or its
+BLAS. That lets the CLI set the BLAS thread count before any numerical
+library starts.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .estimators import (
-    LanczosTriDiag,
-    TraceEstimate,
-    estimate_trace_inv,
-    lanczos,
-    shifted_operand,
-    trace_inv_exact_cholesky,
-    trace_inv_exact_eigen,
-    trace_inv_hutchinson,
-    trace_inv_slq,
-)
-from .exceptions import (
-    DimensionMismatch,
-    InvalidShape,
-    NonPositiveResult,
-    NotPositiveDefinite,
-    PoleInDomain,
-    SingularSystem,
-    TraceInvError,
-)
-from .experiments import (
-    GcvProblem,
-    OptimizationResult,
-    gcv_experiment,
-    gcv_value,
-    gp_experiment,
-    make_gcv_problem,
-    relative_log_theta_error,
-)
-from .interpolation import (
-    Interpolant,
-    InterpolantPoints,
-    TauContext,
-    check_inequality_suite,
-    compute_tau_at_nodes,
-    compute_tau_context,
-    eval_basis,
-    eval_rational,
-    fit_basis,
-    fit_rational,
-    tau_lower_bound,
-    tau_upper_bound,
-)
-from .matrices import (
-    CholeskyFactor,
-    DesignMatrix,
-    PointCloud,
-    SpdMatrix,
-    build_design_matrix,
-    build_exponential_kernel,
-    build_kernel,
-    cholesky,
-    grid_points,
-    random_points,
-    solve_lower_triangular,
-)
-from .optimize import DeResult, differential_evolution
-from .ortho import (
-    OrthoCoefficients,
-    eval_ortho_function,
-    gram_schmidt,
-    haar_inner_product_basis,
-)
+_EXPORTS = {
+    "estimators": (
+        "LanczosTriDiag",
+        "TraceEstimate",
+        "estimate_trace_inv",
+        "lanczos",
+        "shifted_operand",
+        "trace_inv_exact_cholesky",
+        "trace_inv_exact_eigen",
+        "trace_inv_hutchinson",
+        "trace_inv_slq",
+        "trace_inv_sweep",
+    ),
+    "exceptions": (
+        "DimensionMismatch",
+        "InvalidShape",
+        "NonPositiveResult",
+        "NotPositiveDefinite",
+        "PoleInDomain",
+        "SingularSystem",
+        "TraceInvError",
+    ),
+    "experiments": (
+        "GcvProblem",
+        "OptimizationResult",
+        "gcv_experiment",
+        "gcv_value",
+        "gp_experiment",
+        "make_gcv_problem",
+        "relative_log_theta_error",
+    ),
+    "interpolation": (
+        "Interpolant",
+        "InterpolantPoints",
+        "TauContext",
+        "check_inequality_suite",
+        "compute_tau_at_nodes",
+        "compute_tau_context",
+        "eval_basis",
+        "eval_rational",
+        "fit_basis",
+        "fit_rational",
+        "tau_lower_bound",
+        "tau_upper_bound",
+    ),
+    "matrices": (
+        "DesignMatrix",
+        "PointCloud",
+        "SpdMatrix",
+        "build_design_matrix",
+        "build_exponential_kernel",
+        "build_kernel",
+        "cholesky",
+        "grid_points",
+        "random_points",
+    ),
+    "optimize": ("DeResult", "differential_evolution"),
+    "ortho": (
+        "OrthoCoefficients",
+        "eval_ortho_function",
+        "gram_schmidt",
+        "haar_inner_product_basis",
+    ),
+}
 
-__all__ = [
-    "CholeskyFactor",
-    "DeResult",
-    "DesignMatrix",
-    "DimensionMismatch",
-    "GcvProblem",
-    "Interpolant",
-    "InterpolantPoints",
-    "InvalidShape",
-    "LanczosTriDiag",
-    "NonPositiveResult",
-    "NotPositiveDefinite",
-    "OptimizationResult",
-    "OrthoCoefficients",
-    "PointCloud",
-    "PoleInDomain",
-    "SingularSystem",
-    "SpdMatrix",
-    "TauContext",
-    "TraceEstimate",
-    "TraceInvError",
-    "build_design_matrix",
-    "build_exponential_kernel",
-    "build_kernel",
-    "check_inequality_suite",
-    "cholesky",
-    "compute_tau_at_nodes",
-    "compute_tau_context",
-    "differential_evolution",
-    "estimate_trace_inv",
-    "eval_basis",
-    "eval_ortho_function",
-    "eval_rational",
-    "fit_basis",
-    "fit_rational",
-    "gcv_experiment",
-    "gcv_value",
-    "gp_experiment",
-    "gram_schmidt",
-    "grid_points",
-    "haar_inner_product_basis",
-    "lanczos",
-    "make_gcv_problem",
-    "random_points",
-    "relative_log_theta_error",
-    "shifted_operand",
-    "solve_lower_triangular",
-    "tau_lower_bound",
-    "tau_upper_bound",
-    "trace_inv_exact_cholesky",
-    "trace_inv_exact_eigen",
-    "trace_inv_hutchinson",
-    "trace_inv_slq",
-]
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -20,9 +20,22 @@ from pathlib import Path
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS")
 
+_GCV_MODES = {"exact": None, "rational1": 1, "rational2": 2}
+
 
 def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok]
+
+
+def _choice_list(*choices):
+    def parse(text):
+        items = text.split(",")
+        unknown = [item for item in items if item not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {', '.join(unknown)}; choose from {','.join(choices)}")
+        return items
+    return parse
 
 
 def _parse_sweep(text):
@@ -118,32 +131,28 @@ def _out_dir(args):
 
 
 def cmd_trace(args, argv):
-    from .estimators import estimate_trace_inv, shifted_operand
+    from .estimators import trace_inv_sweep
     from .matrices import SpdMatrix
 
     M = _load_operand(args)
     identity = SpdMatrix.identity(M.n)
-    methods = args.method.split(",")
-    records = []
-    for t in args.t:
-        shifted = shifted_operand(M, identity, t)
-        for method in methods:
-            est = estimate_trace_inv(shifted, method=method, n_v=args.nv,
-                                     degree=args.degree, seed=args.seed)
-            records.append(est.record(t=float(t)))
+    sweeps = [trace_inv_sweep(M, identity, args.t, method=method, n_v=args.nv,
+                              degree=args.degree, seed=args.seed)
+              for method in args.method]
+    rows = [(float(t), sweep[k]) for k, t in enumerate(args.t) for sweep in sweeps]
     out = _out_dir(args)
-    _write_json(out / "trace_estimates.json", records)
+    _write_json(out / "trace_estimates.json", [est.record(t=t) for t, est in rows])
     _write_manifest(out, args, argv)
-    for rec in records:
-        print(f"t={rec['t']:.17g} method={rec['method']} value={rec['value']:.17g} "
-              f"std_error={rec['std_error']:.17g}")
+    for t, est in rows:
+        print(f"t={t:.17g} method={est.method} value={est.value:.17g} "
+              f"std_error={est.std_error:.17g}")
     return 0
 
 
 def cmd_interpolate(args, argv):
     import numpy as np
 
-    from .estimators import estimate_trace_inv, shifted_operand
+    from .estimators import trace_inv_sweep
     from .interpolation import (
         compute_tau_at_nodes,
         compute_tau_context,
@@ -179,11 +188,10 @@ def cmd_interpolate(args, argv):
 
     failures = 0
     if args.sweep is not None:
-        identity = SpdMatrix.identity(M.n)
         ts = _sweep_grid(args.sweep)
         rows = []
-        for t in ts:
-            exact = estimate_trace_inv(shifted_operand(M, identity, t)).value / ctx.trace_b_inv
+        for t, est in zip(ts, trace_inv_sweep(M, SpdMatrix.identity(M.n), ts)):
+            exact = est.value / ctx.trace_b_inv
             approx = float(interp(t))
             rel = approx / exact - 1.0
             rows.append([float(t), exact, approx, rel])
@@ -228,33 +236,33 @@ def cmd_gp(args, argv):
 
 
 def cmd_gcv(args, argv):
+    from .estimators import trace_inv_sweep
     from .experiments import (
-        gcv_curve,
         gcv_experiment,
         gcv_theta_grid,
+        gcv_value,
         make_gcv_problem,
         relative_log_theta_error,
     )
+    from .matrices import SpdMatrix
 
     problem = make_gcv_problem(n=args.n, m=args.m, seed=args.seed, s=args.shift,
                                sigma=args.sigma)
-    mode_map = {"exact": None, "rational1": 1, "rational2": 2}
-    results = {}
-    for mode in args.mode.split(","):
-        if mode not in mode_map:
-            raise SystemExit(f"unknown mode {mode!r}; choose from {sorted(mode_map)}")
-        results[mode] = gcv_experiment(problem, interpolation=mode_map[mode],
-                                       method=args.method, n_v=args.nv,
-                                       degree=args.degree, trace_seed=args.seed,
-                                       de_seed=args.de_seed)
+    results = []
+    for method in args.method:
+        for mode in args.mode:
+            res = gcv_experiment(problem, interpolation=_GCV_MODES[mode], method=method,
+                                 n_v=args.nv, degree=args.degree, trace_seed=args.seed,
+                                 de_seed=args.de_seed, max_generations=args.max_generations)
+            results.append((mode, res))
+    exact = {res.method: res for mode, res in results if mode == "exact"}
     rows = []
-    benchmark = results.get("exact")
     failures = 0
-    for mode, res in results.items():
+    for mode, res in results:
         row = res.to_json()
-        if benchmark is not None and mode != "exact":
+        if mode != "exact" and res.method in exact:
             row["error_vs_exact"] = relative_log_theta_error(
-                res.theta_star, benchmark.theta_star)
+                res.theta_star, exact[res.method].theta_star)
         if res.interpolation is not None and res.n_tr != 2 * res.interpolation + 1:
             failures += 1
         rows.append(row)
@@ -263,21 +271,15 @@ def cmd_gcv(args, argv):
 
     if args.curve_points > 0:
         thetas = gcv_theta_grid(problem, count=args.curve_points)
-        from .estimators import estimate_trace_inv, shifted_operand
-        from .matrices import SpdMatrix
-
-        A = problem.shifted_gram
-        identity = SpdMatrix.identity(problem.m)
-
-        def exact_tau(t):
-            return estimate_trace_inv(shifted_operand(A, identity, t)).value / problem.m
-
-        values = gcv_curve(problem, thetas, exact_tau)
-        rows_csv = [[float(th), float(v)] for th, v in zip(thetas, values)]
+        ts = problem.n * thetas - problem.s  # the trace argument gcv_value uses
+        taus = [est.value / problem.m for est in
+                trace_inv_sweep(problem.shifted_gram, SpdMatrix.identity(problem.m), ts)]
+        rows_csv = [[float(th), gcv_value(problem, th, lambda _t, tau=tau: tau)]
+                    for th, tau in zip(thetas, taus)]
         _write_csv(out / "gcv_curve.csv", ["theta", "v_exact"], rows_csv)
 
     _write_manifest(out, args, argv)
-    for mode, res in results.items():
+    for mode, res in results:
         print(f"mode={mode} method={res.method} log10_theta*={res.log10_theta_star:.6f} "
               f"V={res.v_min:.17g} N_tr={res.n_tr} N_tot={res.n_tot}")
     return 1 if failures else 0
@@ -310,6 +312,7 @@ def build_parser():
     _add_matrix_options(p_trace)
     p_trace.add_argument("--t", type=_float_list, required=True, metavar="LIST")
     p_trace.add_argument("--method", default="cholesky",
+                         type=_choice_list("cholesky", "eigen", "hutchinson", "slq"),
                          help="comma list from cholesky,eigen,hutchinson,slq")
     p_trace.add_argument("--nv", type=int, default=30)
     p_trace.add_argument("--degree", type=int, default=30)
@@ -360,12 +363,17 @@ def build_parser():
     p_gcv.add_argument("--shift", type=float, default=1e-3)
     p_gcv.add_argument("--sigma", type=float, default=0.4)
     p_gcv.add_argument("--mode", default="exact,rational1,rational2",
+                       type=_choice_list(*_GCV_MODES),
                        help="comma list from exact,rational1,rational2")
     p_gcv.add_argument("--method", default="cholesky",
-                       choices=("cholesky", "hutchinson", "slq"))
+                       type=_choice_list("cholesky", "hutchinson", "slq"),
+                       help="comma list from cholesky,hutchinson,slq")
     p_gcv.add_argument("--nv", type=int, default=30)
     p_gcv.add_argument("--degree", type=int, default=30)
     p_gcv.add_argument("--de-seed", type=int, default=0)
+    p_gcv.add_argument("--max-generations", type=int, default=200,
+                       help="optimizer budget; the exact mode with a stochastic method "
+                            "uses all of it, so lower this for a quick pass")
     p_gcv.add_argument("--curve-points", type=int, default=0,
                        help="also emit a V(theta) curve with this many points")
     for flag, kw in common.items():

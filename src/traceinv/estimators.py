@@ -1,8 +1,8 @@
 """Exact and stochastic estimators of trace(M^-1).
 
-The exact Cholesky route accumulates the squared Frobenius norm of L^-1
-by forward-substitution on blocks of identity columns, so the full inverse
-factor is never stored. The stochastic routes (Hutchinson and stochastic
+The exact Cholesky route inverts the lower factor L in place and takes
+the squared Frobenius norm of L^-1, so it needs no buffer beyond the
+factor itself. The stochastic routes (Hutchinson and stochastic
 Lanczos quadrature) draw Rademacher probe vectors from per-sample seed
 streams derived from one master seed, which makes results reproducible
 and independent of the order in which samples are processed.
@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
-from .matrices import CholeskyFactor, SpdMatrix, cholesky
+from .matrices import SpdMatrix, cholesky
 
 EXACT_EIGEN_MAX_ORDER = 2000
 LANCZOS_BREAKDOWN_RTOL = 1e-13
-TRACE_SOLVE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,17 @@ class TraceEstimate:
             raise InvalidShape("std_error must be nonnegative")
 
     def record(self, t=None):
-        """JSON-ready dict; ``t`` is the shift the estimate was taken at."""
+        """JSON-ready dict; ``t`` is the shift the estimate was taken at.
+
+        An undefined standard error (nan, from a single sample) is written
+        as null.
+        """
         rec = {
             "t": t,
             "value": self.value,
             "method": self.method,
             "n_v": self.n_v,
-            "std_error": self.std_error,
+            "std_error": None if np.isnan(self.std_error) else self.std_error,
             "seed": self.seed,
         }
         return rec
@@ -66,47 +70,35 @@ class LanczosTriDiag:
 
 
 def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
-    """Materialize A + t*B (diagonal update when B is the identity)."""
+    """Materialize A + t*B (diagonal update when B is the identity).
+
+    A and B were checked for symmetry when they were built, so their sum
+    is stored directly instead of being scanned again.
+    """
     if A.n != B.n:
         raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
     t = float(t)
+    if A.kind == "sparse" and B.kind != "dense":
+        B_data = scipy.sparse.eye(A.n) if B.is_identity else B.data
+        return SpdMatrix(A.n, "sparse", scipy.sparse.csr_matrix(A.data + t * B_data))
     if B.is_identity:
-        if A.is_identity:
-            return SpdMatrix.from_dense(np.eye(A.n) * (1.0 + t))
-        if A.kind == "sparse":
-            return SpdMatrix.from_sparse(A.data + t * scipy.sparse.eye(A.n))
-        shifted = A.data.copy()
+        shifted = A.to_dense().copy()
         shifted[np.diag_indices_from(shifted)] += t
-        return SpdMatrix.from_dense(shifted)
-    if A.kind == "sparse" and B.kind == "sparse":
-        return SpdMatrix.from_sparse(A.data + t * B.data)
-    return SpdMatrix.from_dense(A.to_dense() + t * B.to_dense())
-
-
-def _frobenius_norm_sq_of_inverse(factor: CholeskyFactor, block=TRACE_SOLVE_BLOCK):
-    """Sum of |x_i|^2 over solutions of L x_i = e_i, block by block.
-
-    Column i of L^-1 is zero above row i, so each block only needs the
-    trailing subsystem; the inverse factor itself is never assembled.
-    """
-    L = factor.to_dense()
-    n = L.shape[0]
-    total = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rhs = np.zeros((n - start, stop - start))
-        rhs[np.arange(stop - start), np.arange(stop - start)] = 1.0
-        sub = np.ascontiguousarray(L[start:, start:])
-        cols = scipy.linalg.solve_triangular(sub, rhs, lower=True, check_finite=False)
-        total += float(np.sum(cols**2))
-    return total
+        return SpdMatrix(A.n, "dense", shifted)
+    return SpdMatrix(A.n, "dense", A.to_dense() + t * B.to_dense())
 
 
 def trace_inv_exact_cholesky(M: SpdMatrix) -> TraceEstimate:
-    """trace(M^-1) as the squared Frobenius norm of L^-1 from M = L L^T."""
-    factor = cholesky(M)
-    value = _frobenius_norm_sq_of_inverse(factor)
-    return TraceEstimate(value=value, method="exact-cholesky")
+    """trace(M^-1) as the squared Frobenius norm of L^-1 from M = L L^T.
+
+    LAPACK dtrtri inverts the factor in place; ``cholesky`` hands back a
+    fresh array, so M itself is left untouched.
+    """
+    L_inv, info = scipy.linalg.lapack.dtrtri(cholesky(M), lower=1, overwrite_c=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"triangular inverse of the factor failed (info={info})")
+    flat = L_inv.ravel(order="K")
+    return TraceEstimate(value=float(flat @ flat), method="exact-cholesky")
 
 
 def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):
@@ -152,6 +144,14 @@ def _sample_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _sample_mean(samples, method, seed) -> TraceEstimate:
+    """Mean of per-probe samples with its standard error (nan for one sample)."""
+    n_v = samples.size
+    std_error = float(np.std(samples, ddof=1) / np.sqrt(n_v)) if n_v > 1 else float("nan")
+    return TraceEstimate(value=float(np.mean(samples)), method=method, n_v=n_v,
+                         std_error=std_error, seed=int(seed))
+
+
 def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
     """Monte-Carlo trace estimate (1/n_v) * sum_k z_k^T M^-1 z_k.
 
@@ -161,17 +161,13 @@ def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
     n_v = int(n_v)
     if n_v < 1:
         raise InvalidShape("n_v must be >= 1")
-    factor = cholesky(M)
-    L = factor.to_dense()
+    L = cholesky(M)
     samples = np.empty(n_v)
     for k in range(n_v):
         z = _rademacher(M.n, _sample_rng(seed, k))
         y = scipy.linalg.solve_triangular(L, z, lower=True, check_finite=False)
         samples[k] = float(np.dot(y, y))  # z^T M^-1 z = |L^-1 z|^2
-    value = float(np.mean(samples))
-    std_error = float(np.std(samples, ddof=1) / np.sqrt(n_v)) if n_v > 1 else 0.0
-    return TraceEstimate(value=value, method="hutchinson", n_v=n_v,
-                         std_error=std_error, seed=int(seed))
+    return _sample_mean(samples, "hutchinson", seed)
 
 
 def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
@@ -244,10 +240,7 @@ def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
                 f"quadrature node {np.min(theta):.3e} <= 0; operand is not positive definite"
             )
         samples[k] = n * float(np.sum(first**2 / theta))
-    value = float(np.mean(samples))
-    std_error = float(np.std(samples, ddof=1) / np.sqrt(n_v)) if n_v > 1 else 0.0
-    return TraceEstimate(value=value, method="slq", n_v=n_v,
-                         std_error=std_error, seed=int(seed))
+    return _sample_mean(samples, "slq", seed)
 
 
 def estimate_trace_inv(M: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=0) -> TraceEstimate:
@@ -262,3 +255,15 @@ def estimate_trace_inv(M: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=
     if method == "slq":
         return trace_inv_slq(M, n_v=n_v, degree=degree, seed=seed)
     raise InvalidShape(f"unknown trace method {method!r}")
+
+
+def trace_inv_sweep(A: SpdMatrix, B: SpdMatrix, ts, method="cholesky", n_v=30, degree=30,
+                    seed=0) -> list[TraceEstimate]:
+    """trace((A + t*B)^-1) for each t in ts, one estimate per shift.
+
+    Position k draws its probes from stream ``seed + k`` (no seed when
+    ``seed`` is None), so a sweep reproduces the per-shift calls it replaces.
+    """
+    return [estimate_trace_inv(shifted_operand(A, B, t), method=method, n_v=n_v,
+                               degree=degree, seed=None if seed is None else seed + k)
+            for k, t in enumerate(ts)]

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .estimators import estimate_trace_inv, shifted_operand
+from .estimators import trace_inv_sweep
 from .exceptions import InvalidShape, TraceInvError
 from .interpolation import (
     InterpolantPoints,
@@ -130,9 +130,7 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     ctx = compute_tau_context(K)
 
     ts = np.logspace(np.log10(sweep[0]), np.log10(sweep[1]), int(sweep[2]))
-    tau_exact = np.array([
-        estimate_trace_inv(shifted_operand(K, identity, t)).value / n for t in ts
-    ])
+    tau_exact = np.array([e.value for e in trace_inv_sweep(K, identity, ts)]) / n
     upper = tau_upper_bound(ts, ctx.tau0)
     lower = tau_lower_bound(ts, K.trace(), float(n), n) / n  # unit diagonal: 1/(1+t)
 
@@ -347,20 +345,20 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
     trace evaluations is exactly 2p + 1.
     """
     t_start = time.perf_counter()
-    n = problem.n
     A = problem.shifted_gram
+    identity = SpdMatrix.identity(problem.m)
 
     def backend_tau(t):
-        M = shifted_operand(A, SpdMatrix.identity(problem.m), t)
         seed = None if trace_seed is None else trace_seed + backend.calls
-        est = estimate_trace_inv(M, method=method, n_v=n_v, degree=degree, seed=seed)
+        (est,) = trace_inv_sweep(A, identity, [t], method=method, n_v=n_v, degree=degree,
+                                 seed=seed)
         return est.value / problem.m
 
     backend = _CountingTau(backend_tau)
 
     if interpolation is None:
         tau0 = backend(0.0)
-        ctx = TauContext(A=A, B=SpdMatrix.identity(problem.m), tau0=tau0,
+        ctx = TauContext(A=A, B=identity, tau0=tau0,
                          trace_b_inv=float(problem.m), n=problem.m, t_min=-problem.s)
         optimizer_tau = backend
         node_arr = ()
@@ -375,7 +373,7 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
             raise InvalidShape(f"rational degree p={p} needs 2p={2 * p} nodes")
         tau0 = backend(0.0)
         taus = np.array([backend(t) for t in node_arr])
-        ctx = TauContext(A=A, B=SpdMatrix.identity(problem.m), tau0=tau0,
+        ctx = TauContext(A=A, B=identity, tau0=tau0,
                          trace_b_inv=float(problem.m), n=problem.m, t_min=-problem.s)
         pts = InterpolantPoints(ts=np.array(node_arr), taus=taus)
         interp = fit_rational(ctx, pts, p, eval_domain=problem.t_range())

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .estimators import estimate_trace_inv, shifted_operand
+from .estimators import estimate_trace_inv, trace_inv_sweep
 from .exceptions import (
     InvalidShape,
     NonPositiveResult,
@@ -119,12 +119,8 @@ def compute_tau_at_nodes(ctx: TauContext, ts, method="cholesky", n_v=30, degree=
                          seed=0) -> InterpolantPoints:
     """Evaluate tau at each node with the chosen trace back-end."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    estimates = []
-    for k, t in enumerate(ts):
-        M = shifted_operand(ctx.A, ctx.B, t)
-        node_seed = None if seed is None else seed + k
-        estimates.append(estimate_trace_inv(M, method=method, n_v=n_v, degree=degree,
-                                            seed=node_seed))
+    estimates = trace_inv_sweep(ctx.A, ctx.B, ts, method=method, n_v=n_v, degree=degree,
+                                seed=seed)
     taus = np.array([e.value for e in estimates]) / ctx.trace_b_inv
     return InterpolantPoints(ts=ts, taus=taus, estimates=tuple(estimates))
 

@@ -1,8 +1,8 @@
 """Construction and factorization of symmetric positive-definite operands.
 
 Everything downstream (trace estimators, interpolants, the experiment
-drivers) consumes the types defined here: ``SpdMatrix`` for the operands
-A and B, ``CholeskyFactor`` for triangular solves, ``PointCloud`` for the
+drivers) consumes what is defined here: ``SpdMatrix`` for the operands
+A and B, ``cholesky`` for their lower factors, ``PointCloud`` for the
 spatial kernel study and ``DesignMatrix`` for the ridge-regression study.
 """
 
@@ -98,30 +98,15 @@ class SpdMatrix:
         return float(np.max(np.abs(self.data)))
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the source matrix."""
-
-    L: object = field(repr=False)
-    kind: str = "dense"
-
-    @property
-    def n(self):
-        return self.L.shape[0]
-
-    def to_dense(self):
-        return self.L.toarray() if self.kind == "sparse" else self.L
-
-
-def cholesky(A: SpdMatrix) -> CholeskyFactor:
-    """Factor A = L L^T, raising NotPositiveDefinite on failure.
+def cholesky(A: SpdMatrix) -> np.ndarray:
+    """Lower-triangular L with A = L L^T, raising NotPositiveDefinite on failure.
 
     Sparse inputs are densified for the factorization (problem sizes here
-    are desk scale) and the factor is stored back in sparse form so the
-    factor matches the storage class of its source.
+    are desk scale). L is a fresh array that the caller owns: A's storage
+    is never overwritten.
     """
     if A.is_identity:
-        return CholeskyFactor(L=np.eye(A.n), kind="dense")
+        return np.eye(A.n)
     dense = A.to_dense()
     try:
         L = scipy.linalg.cholesky(dense, lower=True, check_finite=False)
@@ -134,17 +119,7 @@ def cholesky(A: SpdMatrix) -> CholeskyFactor:
             f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * max_diag:.3e}; "
             "matrix is numerically indefinite"
         )
-    if A.kind == "sparse":
-        return CholeskyFactor(L=scipy.sparse.csc_matrix(L), kind="sparse")
-    return CholeskyFactor(L=L, kind="dense")
-
-
-def solve_lower_triangular(factor: CholeskyFactor, b):
-    """Solve L x = b by forward substitution."""
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != factor.n:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} != order {factor.n}")
-    return scipy.linalg.solve_triangular(factor.to_dense(), b, lower=True, check_finite=False)
+    return L
 
 
 @dataclass(frozen=True)

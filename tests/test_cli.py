@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import traceinv
 from traceinv.cli import main
 
 
@@ -43,6 +48,15 @@ def test_trace_kernel_cross_method(tmp_path, capsys):
     slq = next(r for r in records if r["method"] == "slq")
     tol = 3 * slq["std_error"] + 1e-9 * exact["value"]
     assert abs(slq["value"] - exact["value"]) <= tol
+
+
+def test_single_probe_std_error_is_null(tmp_path, capsys):
+    code, out = run(capsys, "trace", "--kernel", "4,0.2", "--t", "0",
+                    "--method", "hutchinson", "--nv", "1", "--out", str(tmp_path / "o"))
+    assert code == 0
+    records = json.loads((tmp_path / "o" / "trace_estimates.json").read_text())
+    assert records[0]["std_error"] is None
+    assert "std_error=nan" in out
 
 
 def test_manifest_written_and_reproducible(tmp_path, capsys):
@@ -135,6 +149,28 @@ def test_gcv_experiment_small(tmp_path, capsys):
     assert len(curve) >= 40
 
 
+def test_gcv_experiment_method_list(tmp_path, capsys):
+    code, _ = run(capsys, "gcv-experiment", "--n", "80", "--m", "40", "--seed", "5",
+                  "--mode", "exact,rational1", "--method", "cholesky,hutchinson",
+                  "--max-generations", "3", "--out", str(tmp_path / "o"))
+    assert code == 0
+    rows = json.loads((tmp_path / "o" / "gcv_results.json").read_text())
+    assert [(r["method"], r["interpolation"]) for r in rows] == [
+        ("cholesky", "none"), ("cholesky", "rational_p1"),
+        ("hutchinson", "none"), ("hutchinson", "rational_p1")]
+    assert all(r["n_generations"] <= 3 for r in rows)
+    for exact, interp in (rows[0:2], rows[2:4]):
+        assert "error_vs_exact" not in exact
+        expected = abs(np.log10(interp["theta_star"] / exact["theta_star"]))
+        expected /= abs(np.log10(exact["theta_star"]))
+        assert interp["error_vs_exact"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_unknown_gcv_method_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["gcv-experiment", "--method", "cholesky,eigen", "--out", str(tmp_path)])
+
+
 def test_check_inequalities(tmp_path, capsys):
     code, out = run(capsys, "check-inequalities", "--trials", "25", "--n", "8",
                     "--seed", "2", "--out", str(tmp_path / "o"))
@@ -147,3 +183,33 @@ def test_threads_flag_accepted(tmp_path, capsys):
     code, _ = run(capsys, "--threads", "1", "ortho", "--p", "2",
                   "--out", str(tmp_path / "o"))
     assert code == 0
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this same traceinv package."""
+    src = str(Path(traceinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_package_import_leaves_blas_unloaded():
+    # --threads only takes effect if BLAS is loaded after main() sets the environment
+    out = run_python("-c", "import sys, traceinv.cli; print('numpy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_results_agree_across_thread_counts(tmp_path):
+    values = {}
+    for threads in ("1", "2"):
+        run_python("-m", "traceinv.cli", "--threads", threads, "trace", "--kernel", "20,0.1",
+                   "--t", "0,0.5,10", "--method", "cholesky,slq,hutchinson",
+                   "--out", str(tmp_path / threads))
+        records = json.loads((tmp_path / threads / "trace_estimates.json").read_text())
+        values[threads] = [(r["t"], r["method"], r["value"]) for r in records]
+    assert len(values["1"]) == 9
+    for (t, method, one), (t2, method2, two) in zip(values["1"], values["2"]):
+        assert (t, method) == (t2, method2)
+        rel = 1e-12 if method == "exact-cholesky" else 1e-6
+        assert two == pytest.approx(one, rel=rel)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,12 +9,15 @@ from traceinv import (
     InvalidShape,
     NotPositiveDefinite,
     SpdMatrix,
+    cholesky,
+    estimate_trace_inv,
     lanczos,
     shifted_operand,
     trace_inv_exact_cholesky,
     trace_inv_exact_eigen,
     trace_inv_hutchinson,
     trace_inv_slq,
+    trace_inv_sweep,
 )
 
 from conftest import spd_from_eigenvalues
@@ -39,6 +43,13 @@ class TestShiftedOperand:
         with pytest.raises(Exception):
             shifted_operand(SpdMatrix.identity(2), SpdMatrix.identity(3), 1.0)
 
+    def test_sparse_operands_stay_sparse(self):
+        A = SpdMatrix.from_sparse(scipy.sparse.csr_matrix(np.diag([1.0, 2.0, 3.0])))
+        for B in (SpdMatrix.identity(3), A):
+            M = shifted_operand(A, B, 0.5)
+            assert M.kind == "sparse"
+            np.testing.assert_array_equal(M.to_dense(), A.to_dense() + 0.5 * B.to_dense())
+
 
 class TestExactCholesky:
     def test_identity(self):
@@ -62,16 +73,11 @@ class TestExactCholesky:
         assert rec["t"] == 0.5 and rec["value"] == 2.0
 
     def test_blocked_accumulation_matches_direct(self, rng):
-        # block sizes smaller than n exercise the trailing-subsystem path
-        from traceinv.estimators import _frobenius_norm_sq_of_inverse
-        from traceinv.matrices import cholesky
-
-        M, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 3.0, 37))
-        factor = cholesky(M)
-        direct = np.sum(np.linalg.inv(factor.to_dense()) ** 2)
-        for block in (1, 5, 16, 64):
-            assert _frobenius_norm_sq_of_inverse(factor, block=block) == pytest.approx(
-                direct, rel=1e-12)
+        # the in-place inverse of the factor against an explicitly formed L^-1
+        for n in (1, 5, 37, 300):
+            M, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 3.0, n))
+            direct = np.sum(np.linalg.inv(cholesky(M)) ** 2)
+            assert trace_inv_exact_cholesky(M).value == pytest.approx(direct, rel=1e-12)
 
 
 class TestExactEigen:
@@ -232,11 +238,34 @@ class TestSlq:
         assert a.value == b.value
 
 
+@pytest.mark.parametrize("estimator, options", [(trace_inv_hutchinson, {}),
+                                                (trace_inv_slq, {"degree": 3})])
+def test_single_probe_has_undefined_std_error(estimator, options):
+    est = estimator(SpdMatrix.from_dense(np.diag([1.0, 2.0, 3.0])), n_v=1, seed=0, **options)
+    assert np.isnan(est.std_error)
+    assert est.record()["std_error"] is None
+
+
+def test_sweep_matches_per_shift_calls(rng):
+    A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
+    B, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
+    ts = [0.0, 0.5, 3.0]
+    for method in ("cholesky", "hutchinson", "slq"):
+        sweep = trace_inv_sweep(A, B, ts, method=method, n_v=5, degree=4, seed=11)
+        for k, t in enumerate(ts):
+            assert sweep[k] == estimate_trace_inv(shifted_operand(A, B, t), method=method,
+                                                  n_v=5, degree=4, seed=11 + k)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 10), st.integers(0, 10_000))
+@given(st.integers(2, 40), st.integers(0, 10_000))
 def test_property_cholesky_trace_matches_eigen_sum(n, seed):
     rng = np.random.default_rng(seed)
     lam = 10.0 ** rng.uniform(-2, 2, n)
     M, _ = spd_from_eigenvalues(rng, lam)
     assert trace_inv_exact_cholesky(M).value == pytest.approx(np.sum(1.0 / lam),
                                                               rel=1e-10)
+    # with condition number at most 100 the in-place inverse agrees with eigvalsh to 1e-12
+    M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1, 1, n))
+    eig_sum = np.sum(1.0 / np.linalg.eigvalsh(M.to_dense()))
+    assert trace_inv_exact_cholesky(M).value == pytest.approx(eig_sum, rel=1e-12)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceinv import (
-    DimensionMismatch,
     InvalidShape,
     NotPositiveDefinite,
     SpdMatrix,
@@ -13,9 +12,10 @@ from traceinv import (
     build_exponential_kernel,
     build_kernel,
     cholesky,
+    compute_tau_context,
     grid_points,
     random_points,
-    solve_lower_triangular,
+    trace_inv_exact_cholesky,
 )
 from traceinv.matrices import apply_householder
 
@@ -47,17 +47,17 @@ class TestSpdMatrix:
 class TestCholesky:
     def test_identity(self):
         L = cholesky(SpdMatrix.identity(3))
-        np.testing.assert_array_equal(L.to_dense(), np.eye(3))
+        np.testing.assert_array_equal(L, np.eye(3))
 
     def test_2x2_closed_form(self):
         L = cholesky(SpdMatrix.from_dense([[4.0, 2.0], [2.0, 3.0]]))
-        np.testing.assert_allclose(L.to_dense(), [[2.0, 0.0], [1.0, np.sqrt(2.0)]],
+        np.testing.assert_allclose(L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]],
                                    rtol=0, atol=1e-15)
 
     def test_random_spd_via_eigen_oracle(self, rng):
         # known-spectrum construction is the independent oracle
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 50))
-        L = cholesky(A).to_dense()
+        L = cholesky(A)
         rel = np.linalg.norm(L @ L.T - A.to_dense()) / np.linalg.norm(A.to_dense())
         assert rel <= 1e-10
 
@@ -69,47 +69,28 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(SpdMatrix.from_dense(np.diag([1.0, 1e-16])))
 
-    def test_sparse_factor_keeps_class(self):
-        dense = np.diag([2.0, 3.0, 5.0])
-        factor = cholesky(SpdMatrix.from_sparse(scipy.sparse.csr_matrix(dense)))
-        assert factor.kind == "sparse"
-        np.testing.assert_allclose(factor.to_dense() @ factor.to_dense().T, dense)
+    def test_sparse_input_is_factored(self):
+        dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
+        L = cholesky(SpdMatrix.from_sparse(scipy.sparse.csr_matrix(dense)))
+        assert isinstance(L, np.ndarray)
+        np.testing.assert_allclose(L @ L.T, dense, rtol=1e-14)
+
+    def test_source_left_untouched(self, rng):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
+        before = A.data.copy()
+        cholesky(A)
+        trace_inv_exact_cholesky(A)
+        compute_tau_context(A, method="cholesky")
+        np.testing.assert_array_equal(A.data, before)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 10_000))
     def test_factor_reproduces_source(self, n, seed):
         rng = np.random.default_rng(seed)
         A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2, 2, n))
-        L = cholesky(A).to_dense()
+        L = cholesky(A)
         rel = np.linalg.norm(L @ L.T - A.to_dense()) / np.linalg.norm(A.to_dense())
         assert rel <= 1e-10
-
-
-class TestSolveLowerTriangular:
-    def test_identity(self):
-        L = cholesky(SpdMatrix.identity(3))
-        e2 = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(solve_lower_triangular(L, e2), e2)
-
-    def test_forward_substitution_by_hand(self):
-        L = cholesky(SpdMatrix.from_dense([[4.0, 2.0], [2.0, 3.0]]))
-        x = solve_lower_triangular(L, np.array([2.0, 1.0 + np.sqrt(2.0)]))
-        np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
-
-    def test_round_trip(self, rng):
-        n = 20
-        A, _ = spd_from_eigenvalues(rng, rng.uniform(1.0, 5.0, n))
-        L = cholesky(A)
-        y = rng.standard_normal(n)
-        b = L.to_dense() @ y
-        x = solve_lower_triangular(L, b)
-        assert np.linalg.norm(L.to_dense() @ x - b) / np.linalg.norm(b) <= 1e-12
-        np.testing.assert_allclose(x, y, rtol=1e-10)
-
-    def test_dimension_mismatch(self):
-        L = cholesky(SpdMatrix.identity(3))
-        with pytest.raises(DimensionMismatch):
-            solve_lower_triangular(L, np.ones(4))
 
 
 class TestPointClouds:
