@@ -188,8 +188,16 @@ class GcvProblem:
         return X.T @ X
 
     @cached_property
-    def xtz(self):
-        return self.design.matrix.T @ self.z
+    def ridge_spectrum(self):
+        """(lam, c2, z2): eigenvalues of X^T X in ascending order, the squared
+        coordinates c2 = (Q^T X^T z)^2 in its eigenbasis Q, and |z|^2.
+
+        One m-by-m eigendecomposition per problem; every ridge residual
+        ``gcv_value`` needs is a closed form in these three.
+        """
+        lam, Q = scipy.linalg.eigh(self.gram, check_finite=False)
+        c2 = (Q.T @ (self.design.matrix.T @ self.z)) ** 2
+        return lam, c2, float(np.dot(self.z, self.z))
 
     @cached_property
     def shifted_gram(self) -> SpdMatrix:
@@ -229,25 +237,26 @@ def make_gcv_problem(n=1000, m=500, seed=0, s=1e-3, sigma=0.4,
 def gcv_value(problem: GcvProblem, theta, tau_fn):
     """Generalized cross-validation score V(theta).
 
-    The numerator is the mean squared residual of the ridge solution
-    (X^T X + n*theta*I) w = X^T z, solved through an m-by-m Cholesky
-    factorization; the denominator is the squared normalized equivalent
-    degrees of freedom (n - m + n*theta*m*tau(n*theta - s))/n, where
-    tau comes from ``tau_fn``.
+    The numerator is the mean squared residual |z - X w|^2 / n of the ridge
+    solution (X^T X + n*theta*I) w = X^T z. With X^T X = Q diag(lam) Q^T and
+    c = Q^T X^T z from ``problem.ridge_spectrum`` it is
+    |z|^2 - sum_i c_i^2 (lam_i + 2 n theta) / (lam_i + n theta)^2, O(m) per
+    theta. The denominator is the squared normalized equivalent degrees of
+    freedom (n - m + n*theta*m*tau(n*theta - s))/n, where tau comes from
+    ``tau_fn``.
     """
     theta = float(theta)
+    if not (np.isfinite(theta) and theta > 0.0):
+        raise InvalidShape(f"theta must be positive and finite, got {theta}")
     n, m = problem.n, problem.m
-    shifted = problem.gram.copy()
-    shifted[np.diag_indices_from(shifted)] += n * theta
-    try:
-        c, low = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise TraceInvError(f"ridge system not positive definite at theta={theta}") from exc
-    w = scipy.linalg.cho_solve((c, low), problem.xtz, check_finite=False)
-    residual = problem.z - problem.design.matrix @ w
-    numerator = float(np.dot(residual, residual)) / n
-    tau = float(tau_fn(n * theta - problem.s))
-    denominator = ((n - m + n * theta * m * tau) / n) ** 2
+    lam, c2, z2 = problem.ridge_spectrum
+    nt = n * theta
+    if lam[0] + nt <= 0.0:
+        raise TraceInvError(f"ridge system not positive definite at theta={theta}")
+    residual_sq = z2 - float(np.dot(c2, (lam + 2.0 * nt) / (lam + nt) ** 2))
+    numerator = residual_sq / n
+    tau = float(tau_fn(nt - problem.s))
+    denominator = ((n - m + nt * m * tau) / n) ** 2
     return numerator / denominator
 
 

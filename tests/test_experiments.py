@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from traceinv import SpdMatrix, TraceInvError, shifted_operand, trace_inv_exact_cholesky
+import traceinv.experiments
+from traceinv import (
+    InvalidShape,
+    SpdMatrix,
+    TraceInvError,
+    shifted_operand,
+    trace_inv_exact_cholesky,
+)
 from traceinv.experiments import (
     GCV_NODE_SETS,
     count_local_minima,
@@ -17,11 +25,36 @@ from traceinv.experiments import (
 )
 
 SMALL = dict(n=120, m=60, seed=5)
+# The two-basin realization of the full-scale study.
+FULL = dict(n=1000, m=500, seed=287)
 
 
 @pytest.fixture(scope="module")
 def small_problem():
     return make_gcv_problem(**SMALL)
+
+
+def cholesky_numerator(problem, theta):
+    """|z - X w|^2 / n with w from a Cholesky solve of the ridge system."""
+    X, n = problem.design.matrix, problem.n
+    shifted = problem.gram + n * theta * np.eye(problem.m)
+    w = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted, lower=True), X.T @ problem.z)
+    residual = problem.z - X @ w
+    return float(np.dot(residual, residual)) / n
+
+
+def singular_value_numerator(problem, theta):
+    """|z - X w|^2 / n from the design's SVD X = U [S V^T; 0], U Householder.
+
+    With y = U z, the residual keeps y_i in full for i >= m and scales it by
+    n theta / (s_i^2 + n theta) for i < m.
+    """
+    design, n, m = problem.design, problem.n, problem.m
+    u = design.u
+    y = problem.z - u * (2.0 * np.dot(u, problem.z) / np.dot(u, u))
+    nt = n * theta
+    shrink = nt / (design.singular_values() ** 2 + nt)
+    return float(np.sum(y[m:] ** 2) + np.sum((shrink * y[:m]) ** 2)) / n
 
 
 class TestNodeSelection:
@@ -123,6 +156,42 @@ class TestGcvProblem:
         assert v1 == pytest.approx(limit, rel=1e-2)
         assert v2 == pytest.approx(limit, rel=1e-4)
 
+    @pytest.mark.parametrize("config", [SMALL, FULL], ids=["small", "full"])
+    def test_numerator_matches_references_on_theta_grid(self, config):
+        # the cached-spectrum closed form against a Cholesky ridge solve per
+        # theta and against the singular-value closed form, same tau for all
+        p = make_gcv_problem(**config)
+        oracle = exact_eigen_tau_fn(p)
+        grid = gcv_theta_grid(p)
+        values = np.array([gcv_value(p, th, oracle) for th in grid])
+        denominators = np.array([((p.n - p.m + p.n * th * p.m * oracle(p.n * th - p.s)) / p.n)
+                                 ** 2 for th in grid])
+        chol = np.array([cholesky_numerator(p, th) for th in grid]) / denominators
+        svd = np.array([singular_value_numerator(p, th) for th in grid]) / denominators
+        np.testing.assert_allclose(values, chol, rtol=1e-12)
+        np.testing.assert_allclose(values, svd, rtol=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.0, -1e-3, np.nan, np.inf])
+    def test_invalid_theta_rejected(self, small_problem, theta):
+        with pytest.raises(InvalidShape):
+            gcv_value(small_problem, theta, exact_eigen_tau_fn(small_problem))
+
+    def test_indefinite_ridge_system_rejected(self):
+        # a Gram matrix with smallest eigenvalue -1: n*theta < 1 leaves the
+        # ridge system indefinite, and the tau source is never consulted
+        p = make_gcv_problem(**SMALL)
+        gram = p.gram.copy()
+        gram[np.diag_indices_from(gram)] -= 1.0 + np.linalg.eigvalsh(p.gram)[0]
+        p.__dict__["gram"] = gram
+
+        def tau_fn(t):
+            raise AssertionError("tau evaluated for an infeasible theta")
+
+        for theta in (1e-6, 0.5 / p.n):
+            with pytest.raises(TraceInvError):
+                gcv_value(p, theta, tau_fn)
+        assert np.isfinite(gcv_value(p, 2.0 / p.n, exact_eigen_tau_fn(p)))
+
     def test_theta_grid_includes_linear_patch(self, small_problem):
         grid = gcv_theta_grid(small_problem, count=100)
         pivot = small_problem.s / small_problem.n
@@ -184,6 +253,21 @@ class TestGcvExperiment:
                     "v_min", "theta_star", "log10_theta_star"):
             assert key in row
         assert row["interpolation"] == "rational_p1"
+
+    def test_objective_calls_module_gcv_value(self, small_problem, monkeypatch):
+        # every optimizer step goes through the module-level gcv_value, once
+        calls = []
+        original = traceinv.experiments.gcv_value
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(traceinv.experiments, "gcv_value", counting)
+        res = gcv_experiment(small_problem, interpolation=2, method="cholesky",
+                             de_seed=0, max_generations=1)
+        assert res.n_tot - res.n_tr > 0
+        assert len(calls) == res.n_tot - res.n_tr
 
     def test_default_node_sets(self):
         assert GCV_NODE_SETS[1] == (1e-3, 1e-1)

@@ -23,6 +23,7 @@ from traceinv import (
     tau_upper_bound,
     trace_inv_exact_cholesky,
     trace_inv_exact_eigen,
+    trace_inv_sweep,
 )
 from traceinv.interpolation import interpolant_from_json, interpolant_to_json
 from traceinv.ortho import eval_ortho_function
@@ -86,6 +87,20 @@ class TestBounds:
             trace = f(t)
             assert tau_lower_bound(t, A.trace(), float(n), n) <= trace * (1 + 1e-12)
             assert trace / n <= tau_upper_bound(t, ctx.tau0) * (1 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10_000))
+    def test_exact_sweep_is_decreasing_and_bounded(self, n, seed):
+        # tau(t) with B = I over a log grid of t: strictly decreasing, under
+        # the sharp upper bound and over the harmonic-mean lower bound
+        rng = np.random.default_rng(seed)
+        A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2.0, 2.0, n))
+        ts = np.logspace(-3, 3, 25)
+        traces = np.array([e.value for e in trace_inv_sweep(A, SpdMatrix.identity(n), ts)])
+        assert np.all(np.diff(traces) < 0.0)
+        tau0 = compute_tau_context(A).tau0
+        assert np.all(traces / n <= tau_upper_bound(ts, tau0) * (1 + 1e-12))
+        assert np.all(traces >= tau_lower_bound(ts, A.trace(), float(n), n) * (1 - 1e-12))
 
 
 class TestTauContext:
