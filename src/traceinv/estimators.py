@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
-import scipy.sparse
 
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
 from .matrices import SpdMatrix, cholesky
@@ -78,9 +77,6 @@ def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
     if A.n != B.n:
         raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
     t = float(t)
-    if A.kind == "sparse" and B.kind != "dense":
-        B_data = scipy.sparse.eye(A.n) if B.is_identity else B.data
-        return SpdMatrix(A.n, "sparse", scipy.sparse.csr_matrix(A.data + t * B_data))
     if B.is_identity:
         shifted = A.to_dense().copy()
         shifted[np.diag_indices_from(shifted)] += t
@@ -229,12 +225,8 @@ def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
     for k in range(n_v):
         z = _rademacher(n, _sample_rng(seed, k))
         tri = lanczos(M, z, degree)
-        if tri.degree == 1:
-            theta = tri.alpha.copy()
-            first = np.ones(1)
-        else:
-            theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha, tri.beta)
-            first = vecs[0, :]
+        theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha, tri.beta)
+        first = vecs[0, :]
         if np.min(theta) <= 0.0:
             raise NotPositiveDefinite(
                 f"quadrature node {np.min(theta):.3e} <= 0; operand is not positive definite"

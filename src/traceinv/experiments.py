@@ -45,7 +45,6 @@ from .matrices import (
     random_points,
 )
 from .optimize import differential_evolution
-from .ortho import gram_schmidt
 
 GP_DEFAULT_NODES = (1e-4, 4e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 
@@ -139,7 +138,7 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     for p in p_values:
         p_nodes = select_nodes(nodes, p)
         pts = compute_tau_at_nodes(ctx, p_nodes)
-        interp = fit_basis(ctx, pts, gram_schmidt(p))
+        interp = fit_basis(ctx, pts)
         at_nodes = interp(pts.ts)
         node_failures += int(np.sum(np.abs(at_nodes / pts.taus - 1.0) > 1e-8))
         values = interp(ts)
@@ -323,25 +322,6 @@ class OptimizationResult:
         }
 
 
-class _CountingTau:
-    """Wrap a tau source, counting calls and accumulating wall time."""
-
-    def __init__(self, fn, clock=True):
-        self.fn = fn
-        self.calls = 0
-        self.elapsed = 0.0
-        self.clock = clock
-
-    def __call__(self, t):
-        self.calls += 1
-        if self.clock:
-            start = time.perf_counter()
-            value = self.fn(t)
-            self.elapsed += time.perf_counter() - start
-            return value
-        return self.fn(t)
-
-
 def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
                    n_v=30, degree=30, trace_seed=0, de_seed=0, popsize=40,
                    max_generations=200, nodes=None) -> OptimizationResult:
@@ -351,26 +331,39 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
     every optimizer step. ``interpolation=p`` first computes tau0 plus tau
     at 2p nodes with that back-end, fits a rational interpolant, and runs
     the optimizer against the interpolant alone, so the number of exact
-    trace evaluations is exactly 2p + 1.
+    trace evaluations is exactly 2p + 1. Either way the k-th trace
+    evaluation (k = 0 for tau0) draws from probe stream ``trace_seed + 1 + k``.
+
+    A lower theta bound that leaves X^T X + n*theta*I indefinite is refused
+    before any trace is evaluated.
     """
     t_start = time.perf_counter()
+    lo, hi = problem.theta_bounds
+    lam_min = float(problem.ridge_spectrum[0][0])
+    if lam_min + problem.n * lo <= 0.0:
+        raise InvalidShape(f"theta lower bound {lo:.3e} leaves X^T X + n*theta*I indefinite"
+                           f" (min eigenvalue {lam_min:.3e}); it must exceed"
+                           f" {-lam_min / problem.n:.3e}")
     A = problem.shifted_gram
     identity = SpdMatrix.identity(problem.m)
+    n_tr, t_tr = 0, 0.0
 
-    def backend_tau(t):
-        seed = None if trace_seed is None else trace_seed + backend.calls
-        (est,) = trace_inv_sweep(A, identity, [t], method=method, n_v=n_v, degree=degree,
-                                 seed=seed)
-        return est.value / problem.m
-
-    backend = _CountingTau(backend_tau)
+    def backend_taus(ts):
+        nonlocal n_tr, t_tr
+        seed = None if trace_seed is None else trace_seed + 1 + n_tr
+        start = time.perf_counter()
+        estimates = trace_inv_sweep(A, identity, ts, method=method, n_v=n_v, degree=degree,
+                                    seed=seed)
+        t_tr += time.perf_counter() - start
+        n_tr += len(estimates)
+        return [e.value / problem.m for e in estimates]
 
     if interpolation is None:
-        tau0 = backend(0.0)
-        ctx = TauContext(A=A, B=identity, tau0=tau0,
-                         trace_b_inv=float(problem.m), n=problem.m, t_min=-problem.s)
-        optimizer_tau = backend
+        (tau0,) = backend_taus([0.0])
         node_arr = ()
+
+        def optimizer_tau(t):
+            return backend_taus([t])[0]
     else:
         p = int(interpolation)
         if nodes is None:
@@ -380,16 +373,11 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
         node_arr = tuple(float(t) for t in nodes)
         if len(node_arr) != 2 * p:
             raise InvalidShape(f"rational degree p={p} needs 2p={2 * p} nodes")
-        tau0 = backend(0.0)
-        taus = np.array([backend(t) for t in node_arr])
+        tau0, *taus = backend_taus([0.0, *node_arr])
         ctx = TauContext(A=A, B=identity, tau0=tau0,
                          trace_b_inv=float(problem.m), n=problem.m, t_min=-problem.s)
-        pts = InterpolantPoints(ts=np.array(node_arr), taus=taus)
-        interp = fit_rational(ctx, pts, p, eval_domain=problem.t_range())
-        optimizer_tau = _CountingTau(interp, clock=False)
-
-    n_tr_before_opt = backend.calls
-    lo, hi = problem.theta_bounds
+        pts = InterpolantPoints(ts=np.array(node_arr), taus=np.array(taus))
+        optimizer_tau = fit_rational(ctx, pts, p, eval_domain=problem.t_range())
 
     def objective(x):
         return gcv_value(problem, 10.0**x, optimizer_tau)
@@ -397,18 +385,15 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
     de = differential_evolution(objective, (np.log10(lo), np.log10(hi)),
                                 popsize=popsize, max_generations=max_generations,
                                 seed=de_seed)
-    if interpolation is not None and backend.calls != n_tr_before_opt:
-        raise TraceInvError("trace back-end was invoked during optimization "
-                            "in interpolated mode")
+    if interpolation is not None and n_tr != 2 * p + 1:
+        raise TraceInvError(f"interpolated mode made {n_tr} trace evaluations, not {2 * p + 1}")
 
-    n_tr = backend.calls
-    n_tot = n_tr + (optimizer_tau.calls if optimizer_tau is not backend else 0)
-    theta_star = 10.0**de.x
     return OptimizationResult(
-        theta_star=theta_star, v_min=de.fun, n_tr=n_tr, n_tot=n_tot,
-        t_tr=backend.elapsed, t_tot=time.perf_counter() - t_start,
+        theta_star=10.0**de.x, v_min=de.fun, n_tr=n_tr,
+        n_tot=n_tr if interpolation is None else n_tr + de.n_evals,
+        t_tr=t_tr, t_tot=time.perf_counter() - t_start,
         method=method, interpolation=interpolation, nodes=node_arr,
-        tau0=ctx.tau0, converged=de.converged, n_generations=de.n_generations,
+        tau0=tau0, converged=de.converged, n_generations=de.n_generations,
         seed=de_seed,
     )
 

@@ -179,8 +179,7 @@ class Interpolant:
         return eval_basis(self, t, allow_small_t=allow_small_t)
 
 
-def fit_basis(ctx: TauContext, pts: InterpolantPoints,
-              coeffs: OrthoCoefficients | None = None) -> Interpolant:
+def fit_basis(ctx: TauContext, pts: InterpolantPoints) -> Interpolant:
     """Fit 1/tau(t) ~ 1/tau0 + t + sum_j w_j phi_j_orth(t/l), l = max node.
 
     One orthonormal basis function per node; with no nodes the fit
@@ -191,11 +190,7 @@ def fit_basis(ctx: TauContext, pts: InterpolantPoints,
     p = len(pts)
     if p == 0:
         return Interpolant(variant="bound", tau0=ctx.tau0, p=0)
-    if coeffs is None:
-        coeffs = gram_schmidt(p)
-    if coeffs.order < p:
-        raise InvalidShape(f"need orthonormal functions up to order {p}, "
-                           f"got order {coeffs.order}")
+    coeffs = gram_schmidt(p)
     scale = float(np.max(pts.ts))
     design = np.empty((p, p))
     for j in range(1, p + 1):

@@ -6,6 +6,9 @@ Two matrix formats are supported, chosen by file extension:
   (lower triangle only).
 * ``.csv`` — dense full matrix, one row per line, comma separated.
 
+Matrices load into dense storage, which is what every factorization
+downstream works on: a ``.mtx`` file is expanded once, here.
+
 Point clouds are CSV with one ``x,y`` pair per line.
 """
 
@@ -25,9 +28,7 @@ def load_matrix(path) -> SpdMatrix:
     path = Path(path)
     if path.suffix == ".mtx":
         mat = scipy.io.mmread(path)
-        if scipy.sparse.issparse(mat):
-            return SpdMatrix.from_sparse(mat.tocsr())
-        return SpdMatrix.from_dense(np.asarray(mat))
+        return SpdMatrix.from_dense(mat.toarray() if scipy.sparse.issparse(mat) else mat)
     if path.suffix == ".csv":
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
         return SpdMatrix.from_dense(arr)
@@ -37,8 +38,7 @@ def load_matrix(path) -> SpdMatrix:
 def save_matrix(path, A: SpdMatrix):
     path = Path(path)
     if path.suffix == ".mtx":
-        mat = A.data if A.kind == "sparse" else scipy.sparse.coo_matrix(A.to_dense())
-        scipy.io.mmwrite(path, mat, symmetry="symmetric")
+        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(A.to_dense()), symmetry="symmetric")
     elif path.suffix == ".csv":
         np.savetxt(path, A.to_dense(), delimiter=",", fmt="%.17g")
     else:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.spatial.distance
 
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
@@ -28,13 +27,13 @@ PIVOT_RTOL = 1e-14
 class SpdMatrix:
     """Symmetric positive-definite operand.
 
-    Storage is dense, sparse symmetric, or an implicit identity (no stored
-    entries). Positive definiteness is not checked at construction; it
-    surfaces as :class:`NotPositiveDefinite` at factorization time.
+    Storage is a dense array or an implicit identity (no stored entries).
+    Positive definiteness is not checked at construction; it surfaces as
+    :class:`NotPositiveDefinite` at factorization time.
     """
 
     n: int
-    kind: str  # "dense" | "sparse" | "identity"
+    kind: str  # "dense" | "identity"
     data: object = field(repr=False, default=None)
 
     @classmethod
@@ -48,17 +47,6 @@ class SpdMatrix:
         return cls(n=array.shape[0], kind="dense", data=array)
 
     @classmethod
-    def from_sparse(cls, matrix, rtol=SYMMETRY_RTOL):
-        matrix = scipy.sparse.csr_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise InvalidShape(f"expected a square matrix, got shape {matrix.shape}")
-        asym = abs(matrix - matrix.T)
-        scale = np.max(np.abs(matrix.data)) if matrix.nnz else 1.0
-        if asym.nnz and asym.max() > rtol * scale:
-            raise InvalidShape("matrix is not symmetric within tolerance")
-        return cls(n=matrix.shape[0], kind="sparse", data=matrix)
-
-    @classmethod
     def identity(cls, n):
         return cls(n=int(n), kind="identity", data=None)
 
@@ -67,16 +55,10 @@ class SpdMatrix:
         return self.kind == "identity"
 
     def to_dense(self):
-        if self.kind == "dense":
-            return self.data
-        if self.kind == "sparse":
-            return self.data.toarray()
-        return np.eye(self.n)
+        return np.eye(self.n) if self.is_identity else self.data
 
     def diagonal(self):
-        if self.kind == "identity":
-            return np.ones(self.n)
-        return np.asarray(self.data.diagonal()) if self.kind == "sparse" else np.diag(self.data)
+        return np.ones(self.n) if self.is_identity else np.diag(self.data)
 
     def trace(self):
         return float(self.diagonal().sum())
@@ -91,19 +73,14 @@ class SpdMatrix:
 
     def entry_norm(self):
         """Cheap magnitude estimate: largest entry in absolute value."""
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "sparse":
-            return float(np.max(np.abs(self.data.data))) if self.data.nnz else 0.0
-        return float(np.max(np.abs(self.data)))
+        return 1.0 if self.is_identity else float(np.max(np.abs(self.data)))
 
 
 def cholesky(A: SpdMatrix) -> np.ndarray:
     """Lower-triangular L with A = L L^T, raising NotPositiveDefinite on failure.
 
-    Sparse inputs are densified for the factorization (problem sizes here
-    are desk scale). L is a fresh array that the caller owns: A's storage
-    is never overwritten.
+    L is a fresh array that the caller owns: A's storage is never
+    overwritten.
     """
     if A.is_identity:
         return np.eye(A.n)

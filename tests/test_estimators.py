@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,13 +41,6 @@ class TestShiftedOperand:
     def test_order_mismatch(self):
         with pytest.raises(Exception):
             shifted_operand(SpdMatrix.identity(2), SpdMatrix.identity(3), 1.0)
-
-    def test_sparse_operands_stay_sparse(self):
-        A = SpdMatrix.from_sparse(scipy.sparse.csr_matrix(np.diag([1.0, 2.0, 3.0])))
-        for B in (SpdMatrix.identity(3), A):
-            M = shifted_operand(A, B, 0.5)
-            assert M.kind == "sparse"
-            np.testing.assert_array_equal(M.to_dense(), A.to_dense() + 0.5 * B.to_dense())
 
 
 class TestExactCholesky:

@@ -269,6 +269,59 @@ class TestGcvExperiment:
         assert res.n_tot - res.n_tr > 0
         assert len(calls) == res.n_tot - res.n_tr
 
+    @pytest.fixture
+    def sweep_log(self, monkeypatch):
+        """Record (ts, seed, estimates returned) of every back-end sweep and
+        ("de",) when the optimizer starts."""
+        log = []
+        sweep = traceinv.experiments.trace_inv_sweep
+        de = traceinv.experiments.differential_evolution
+
+        def recording_sweep(A, B, ts, **kwargs):
+            estimates = sweep(A, B, ts, **kwargs)
+            log.append((list(ts), kwargs["seed"], len(estimates)))
+            return estimates
+
+        def recording_de(*args, **kwargs):
+            log.append(("de",))
+            return de(*args, **kwargs)
+
+        monkeypatch.setattr(traceinv.experiments, "trace_inv_sweep", recording_sweep)
+        monkeypatch.setattr(traceinv.experiments, "differential_evolution", recording_de)
+        return log
+
+    @pytest.mark.parametrize("trace_seed", [7, None])
+    def test_interpolated_mode_sweeps_once_before_search(self, small_problem, sweep_log,
+                                                         trace_seed):
+        res = gcv_experiment(small_problem, interpolation=2, method="cholesky",
+                             trace_seed=trace_seed, de_seed=0, max_generations=1)
+        seed = None if trace_seed is None else trace_seed + 1
+        assert sweep_log == [([0.0, *GCV_NODE_SETS[2]], seed, 5), ("de",)]
+        assert res.n_tr == 5
+
+    def test_exact_mode_seeds_follow_call_index(self, small_problem, sweep_log):
+        res = gcv_experiment(small_problem, interpolation=None, method="hutchinson",
+                             trace_seed=7, de_seed=0, popsize=4, max_generations=2)
+        sweeps = [entry for entry in sweep_log if entry != ("de",)]
+        assert sweep_log.index(("de",)) == 1  # tau0 comes first
+        assert sweeps[0][0] == [0.0]
+        assert [seed for _, seed, _ in sweeps] == [8 + k for k in range(len(sweeps))]
+        assert all(len(ts) == 1 for ts, _, _ in sweeps)
+        assert sum(count for _, _, count in sweeps) == res.n_tr == res.n_tot
+
+    @pytest.mark.parametrize("interpolation", [None, 2])
+    def test_lower_bound_below_rank_floor_refused_up_front(self, interpolation, monkeypatch):
+        # min(lam) of this X^T X is about -1.6e-16, so theta = 1e-20 leaves
+        # the ridge system indefinite; the search must stop before any trace
+        problem = make_gcv_problem(**SMALL, theta_bounds=(1e-20, 10.0))
+        floor = -problem.ridge_spectrum[0][0] / problem.n
+        calls = []
+        monkeypatch.setattr(traceinv.experiments, "trace_inv_sweep",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(InvalidShape, match=f"must exceed {floor:.3e}"):
+            gcv_experiment(problem, interpolation=interpolation, method="cholesky")
+        assert calls == []
+
     def test_default_node_sets(self):
         assert GCV_NODE_SETS[1] == (1e-3, 1e-1)
         assert GCV_NODE_SETS[2] == (1e-3, 1e-2, 1e-1, 1.0)

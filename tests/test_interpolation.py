@@ -153,7 +153,7 @@ class TestBasisInterpolant:
     def test_reproduces_nodes(self):
         ctx = diag_context([1.0, 2.0, 5.0])
         pts = compute_tau_at_nodes(ctx, [0.1, 1.0, 10.0])
-        interp = fit_basis(ctx, pts, gram_schmidt(3))
+        interp = fit_basis(ctx, pts)
         for t, tau in zip(pts.ts, pts.taus):
             assert eval_basis(interp, float(t)) == pytest.approx(tau, rel=1e-8)
 
@@ -162,7 +162,7 @@ class TestBasisInterpolant:
         ctx = diag_context([1.0, 2.0, 5.0])
         oracle = trace_inv_exact_eigen(ctx.A)
         pts = compute_tau_at_nodes(ctx, [0.1, 1.0, 10.0])
-        interp = fit_basis(ctx, pts, gram_schmidt(3))
+        interp = fit_basis(ctx, pts)
         ts = np.logspace(-3, 3, 60)
         exact = np.array([oracle(t) / 3 for t in ts])
         err_fit = np.max(np.abs(eval_basis(interp, ts) / exact - 1.0))
@@ -172,20 +172,20 @@ class TestBasisInterpolant:
     def test_origin_exact(self):
         ctx = diag_context([1.0, 3.0])
         pts = compute_tau_at_nodes(ctx, [0.5, 2.0])
-        interp = fit_basis(ctx, pts, gram_schmidt(2))
+        interp = fit_basis(ctx, pts)
         assert eval_basis(interp, 0.0) == ctx.tau0
 
     def test_far_field_asymptote(self):
         ctx = diag_context([1.0, 2.0, 5.0])
         pts = compute_tau_at_nodes(ctx, [0.1, 1.0, 10.0])
-        interp = fit_basis(ctx, pts, gram_schmidt(3))
+        interp = fit_basis(ctx, pts)
         t = 1e8 / ctx.tau0
         assert abs(t * eval_basis(interp, t) - 1.0) <= 0.01
 
     def test_refuses_small_t_without_flag(self):
         ctx = diag_context([1.0, 2.0])
         pts = compute_tau_at_nodes(ctx, [0.5, 2.0])
-        interp = fit_basis(ctx, pts, gram_schmidt(2))
+        interp = fit_basis(ctx, pts)
         with pytest.raises(InvalidShape):
             eval_basis(interp, 1e-6)
         eval_basis(interp, 1e-6, allow_small_t=True)  # forced evaluation works
@@ -198,7 +198,7 @@ class TestBasisInterpolant:
         object.__setattr__(pts, "taus", np.array([0.6, 0.5]))
         object.__setattr__(pts, "estimates", ())
         with pytest.raises(SingularSystem):
-            fit_basis(ctx, pts, gram_schmidt(2))
+            fit_basis(ctx, pts)
 
     def test_condition_number_stays_moderate(self):
         # orthogonalized functions keep the collocation system well-conditioned
@@ -301,7 +301,7 @@ class TestJsonRoundTrip:
     def test_basis(self):
         ctx = diag_context([1.0, 2.0, 5.0])
         pts = compute_tau_at_nodes(ctx, [0.1, 1.0, 10.0])
-        interp = fit_basis(ctx, pts, gram_schmidt(3))
+        interp = fit_basis(ctx, pts)
         again = interpolant_from_json(interpolant_to_json(interp))
         ts = np.logspace(-2, 2, 20)
         np.testing.assert_array_equal(eval_basis(again, ts), eval_basis(interp, ts))

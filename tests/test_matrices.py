@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,12 +36,6 @@ class TestSpdMatrix:
         assert I.trace() == 4.0
         np.testing.assert_array_equal(I.to_dense(), np.eye(4))
 
-    def test_sparse_round_trip(self):
-        dense = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]])
-        A = SpdMatrix.from_sparse(scipy.sparse.csr_matrix(dense))
-        np.testing.assert_array_equal(A.to_dense(), dense)
-        assert A.kind == "sparse"
-
 
 class TestCholesky:
     def test_identity(self):
@@ -68,12 +61,6 @@ class TestCholesky:
     def test_tiny_pivot_raises(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(SpdMatrix.from_dense(np.diag([1.0, 1e-16])))
-
-    def test_sparse_input_is_factored(self):
-        dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
-        L = cholesky(SpdMatrix.from_sparse(scipy.sparse.csr_matrix(dense)))
-        assert isinstance(L, np.ndarray)
-        np.testing.assert_allclose(L @ L.T, dense, rtol=1e-14)
 
     def test_source_left_untouched(self, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
