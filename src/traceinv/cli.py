@@ -372,8 +372,8 @@ def build_parser():
     p_gcv.add_argument("--degree", type=int, default=30)
     p_gcv.add_argument("--de-seed", type=int, default=0)
     p_gcv.add_argument("--max-generations", type=int, default=200,
-                       help="optimizer budget; the exact mode with a stochastic method "
-                            "uses all of it, so lower this for a quick pass")
+                       help="optimizer budget; the search stops earlier once the "
+                            "population's scores agree")
     p_gcv.add_argument("--curve-points", type=int, default=0,
                        help="also emit a V(theta) curve with this many points")
     for flag, kw in common.items():

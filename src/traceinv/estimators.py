@@ -19,7 +19,6 @@ import scipy.linalg.lapack
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
 from .matrices import SpdMatrix, cholesky
 
-EXACT_EIGEN_MAX_ORDER = 2000
 LANCZOS_BREAKDOWN_RTOL = 1e-13
 
 
@@ -106,22 +105,19 @@ def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):
     When B is the identity this reduces to the plain eigenvalue sum. The
     closure raises NotPositiveDefinite for t at or below -min(lam/mu).
     """
-    if A.n > EXACT_EIGEN_MAX_ORDER:
-        raise InvalidShape(
-            f"order {A.n} exceeds the exact-eigen guard ({EXACT_EIGEN_MAX_ORDER})"
-        )
     if B is not None and B.n != A.n:
         raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
     if B is None or B.is_identity:
         lam = scipy.linalg.eigh(A.to_dense(), eigvals_only=True, check_finite=False)
         mu = np.ones_like(lam)
     else:
-        gamma, V = scipy.linalg.eigh(A.to_dense(), B.to_dense(), check_finite=False)
+        try:
+            gamma, V = scipy.linalg.eigh(A.to_dense(), B.to_dense(), check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(f"B is not positive definite: {exc}") from exc
         weights = np.sum(V**2, axis=0)
         lam = gamma / weights
         mu = 1.0 / weights
-    if np.min(lam) <= 0.0 or np.min(mu) <= 0.0:
-        raise NotPositiveDefinite("pencil has non-positive eigenvalues")
 
     def evaluate(t):
         denom = lam + float(t) * mu
@@ -253,9 +249,13 @@ def trace_inv_sweep(A: SpdMatrix, B: SpdMatrix, ts, method="cholesky", n_v=30, d
                     seed=0) -> list[TraceEstimate]:
     """trace((A + t*B)^-1) for each t in ts, one estimate per shift.
 
-    Position k draws its probes from stream ``seed + k`` (no seed when
-    ``seed`` is None), so a sweep reproduces the per-shift calls it replaces.
+    The seed names one probe set, drawn at every shift, so each entry equals
+    an ``estimate_trace_inv`` call with that seed and a stochastic sweep
+    decreases in t. ``method="eigen"`` does one eigensolve for all shifts.
     """
+    if method == "eigen":
+        evaluate = trace_inv_exact_eigen(A, B)
+        return [TraceEstimate(value=evaluate(t), method="exact-eigen") for t in ts]
     return [estimate_trace_inv(shifted_operand(A, B, t), method=method, n_v=n_v,
-                               degree=degree, seed=None if seed is None else seed + k)
-            for k, t in enumerate(ts)]
+                               degree=degree, seed=seed)
+            for t in ts]

@@ -331,8 +331,9 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
     every optimizer step. ``interpolation=p`` first computes tau0 plus tau
     at 2p nodes with that back-end, fits a rational interpolant, and runs
     the optimizer against the interpolant alone, so the number of exact
-    trace evaluations is exactly 2p + 1. Either way the k-th trace
-    evaluation (k = 0 for tau0) draws from probe stream ``trace_seed + 1 + k``.
+    trace evaluations is exactly 2p + 1. Either way every trace evaluation
+    uses the probe set ``trace_seed``, so with a stochastic method the
+    objective is a deterministic function of theta.
 
     A lower theta bound that leaves X^T X + n*theta*I indefinite is refused
     before any trace is evaluated.
@@ -350,10 +351,9 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
 
     def backend_taus(ts):
         nonlocal n_tr, t_tr
-        seed = None if trace_seed is None else trace_seed + 1 + n_tr
         start = time.perf_counter()
         estimates = trace_inv_sweep(A, identity, ts, method=method, n_v=n_v, degree=degree,
-                                    seed=seed)
+                                    seed=trace_seed)
         t_tr += time.perf_counter() - start
         n_tr += len(estimates)
         return [e.value / problem.m for e in estimates]

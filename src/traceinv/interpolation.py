@@ -61,9 +61,9 @@ def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="choles
                         n_v=30, degree=30, seed=0, t_min=None) -> TauContext:
     """Evaluate tau0 = trace(A^-1)/trace(B^-1) with the chosen back-end.
 
-    B defaults to the identity, where trace(B^-1) = n without any work.
-    t_min is stored only if the caller supplies it; no eigenvalue solve is
-    triggered here.
+    B defaults to the identity, where trace(B^-1) = n without any work;
+    otherwise both traces use the probe set ``seed``. t_min is stored only
+    if the caller supplies it; no eigenvalue solve is triggered here.
     """
     if B is None:
         B = SpdMatrix.identity(A.n)
@@ -72,24 +72,23 @@ def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="choles
         trace_b_inv = float(B.n)
     else:
         trace_b_inv = estimate_trace_inv(B, method=method, n_v=n_v, degree=degree,
-                                         seed=seed + 1 if seed is not None else None).value
+                                         seed=seed).value
     return TauContext(A=A, B=B, tau0=trace_a_inv / trace_b_inv,
                       trace_b_inv=trace_b_inv, n=A.n, t_min=t_min)
 
 
 @dataclass(frozen=True)
 class InterpolantPoints:
-    """Node locations t_i with their tau values and estimator metadata.
+    """Node locations t_i with their tau values.
 
     Nodes must be strictly increasing and positive, values strictly
-    decreasing and positive; a non-monotone value sequence usually means a
-    stochastic estimator was run with too few samples, so it is rejected
-    here rather than silently producing a nonsense fit.
+    decreasing and positive. Values from one sweep share one probe set and
+    decrease by construction, so a non-monotone sequence is rejected here
+    rather than silently producing a nonsense fit.
     """
 
     ts: np.ndarray
     taus: np.ndarray
-    estimates: tuple = ()
 
     def __post_init__(self):
         ts = np.atleast_1d(np.asarray(self.ts, dtype=float))
@@ -105,8 +104,8 @@ class InterpolantPoints:
                 raise NotPositiveDefinite("tau values must be positive")
             if np.any(np.diff(taus) >= 0.0):
                 raise InvalidShape(
-                    "tau values must decrease strictly with t; with a stochastic "
-                    "estimator, raise n_v until the node values are monotone"
+                    "tau values must decrease strictly with t; take every node "
+                    "value from one sweep so that all of them share one probe set"
                 )
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "taus", taus)
@@ -122,7 +121,7 @@ def compute_tau_at_nodes(ctx: TauContext, ts, method="cholesky", n_v=30, degree=
     estimates = trace_inv_sweep(ctx.A, ctx.B, ts, method=method, n_v=n_v, degree=degree,
                                 seed=seed)
     taus = np.array([e.value for e in estimates]) / ctx.trace_b_inv
-    return InterpolantPoints(ts=ts, taus=taus, estimates=tuple(estimates))
+    return InterpolantPoints(ts=ts, taus=taus)
 
 
 def tau_upper_bound(t, tau0):
@@ -261,7 +260,8 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
     upper bound with b_0 = 1/tau0. After the solve, real roots of the
     denominator are located via the companion matrix; a root inside the
     evaluation domain raises :class:`PoleInDomain` with the root
-    locations so the caller can nudge the nodes.
+    locations: tau is a Stieltjes function, so such a root means node
+    values that no decreasing Stieltjes curve passes through.
     """
     p = int(p)
     if p < 0:
@@ -324,8 +324,9 @@ def _check_poles(interp, pts, ctx, eval_domain):
     if inside.size:
         raise PoleInDomain(
             f"fitted denominator has real roots {inside.tolist()} inside "
-            f"[{lo:.3e}, {hi:.3e}]; adjust the node locations slightly to move "
-            "the poles out of the evaluation domain",
+            f"[{lo:.3e}, {hi:.3e}]: the node values {pts.taus.tolist()} at "
+            f"t = {pts.ts.tolist()} are inconsistent with a decreasing Stieltjes "
+            "curve (stochastic noise or lost accuracy in the trace estimates)",
             poles=inside.tolist(),
         )
 
@@ -365,23 +366,6 @@ def interpolant_to_json(interp: Interpolant) -> dict:
     else:
         record["coefficients"] = []
     return record
-
-
-def interpolant_from_json(record: dict) -> Interpolant:
-    variant = record["variant"]
-    if variant == "bound":
-        return Interpolant(variant="bound", tau0=record["tau0"], p=0)
-    if variant == "basis":
-        p = int(record["p"])
-        return Interpolant(variant="basis", tau0=record["tau0"], p=p,
-                           weights=tuple(record["coefficients"]),
-                           scale=record["scale"], ortho=gram_schmidt(p),
-                           small_t_floor=record.get("small_t_floor", 0.0))
-    if variant == "rational":
-        numer, denom = record["coefficients"]
-        return Interpolant(variant="rational", tau0=record["tau0"], p=int(record["p"]),
-                           numerator=tuple(numer), denominator=tuple(denom))
-    raise InvalidShape(f"unknown interpolant variant {variant!r}")
 
 
 @dataclass

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.spatial.distance
 
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
 
@@ -140,6 +139,7 @@ def random_points(count, seed) -> PointCloud:
 
 def build_kernel(points: PointCloud, kernel_fn) -> SpdMatrix:
     """Dense kernel matrix K_ij = kernel_fn(d_ij) over pairwise Euclidean distances."""
+    import scipy.spatial.distance  # ~85 ms to load, so only kernel builds pay it
     dists = scipy.spatial.distance.squareform(
         scipy.spatial.distance.pdist(points.coords, metric="euclidean")
     )

@@ -26,8 +26,7 @@ class DeResult:
 
 
 def differential_evolution(objective, bounds, popsize=40, mutation=0.8,
-                           crossover=0.9, max_generations=200, tol=1e-8,
-                           seed=0) -> DeResult:
+                           max_generations=200, tol=1e-8, seed=0) -> DeResult:
     """Minimize a scalar function over [bounds[0], bounds[1]].
 
     Stops when the population's objective standard deviation drops below

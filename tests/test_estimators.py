@@ -86,7 +86,7 @@ class TestExactEigen:
     def test_cross_method_agreement_on_kernel(self):
         from traceinv import build_exponential_kernel, grid_points
 
-        K = build_exponential_kernel(grid_points(7), rho=0.1)  # < eigen guard
+        K = build_exponential_kernel(grid_points(7), rho=0.1)
         f = trace_inv_exact_eigen(K)
         assert f(0.0) == pytest.approx(trace_inv_exact_cholesky(K).value, rel=1e-10)
 
@@ -103,11 +103,6 @@ class TestExactEigen:
         f = trace_inv_exact_eigen(A)
         with pytest.raises(NotPositiveDefinite):
             f(-1.5)
-
-    def test_order_guard(self):
-        big = SpdMatrix.identity(2001)
-        with pytest.raises(InvalidShape):
-            trace_inv_exact_eigen(big)
 
     def test_monotone_decreasing_in_t(self, rng):
         A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1, 1, 12))
@@ -239,6 +234,7 @@ def test_single_probe_has_undefined_std_error(estimator, options):
 
 
 def test_sweep_matches_per_shift_calls(rng):
+    # the seed names one probe set, used at every shift
     A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
     B, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
     ts = [0.0, 0.5, 3.0]
@@ -246,7 +242,55 @@ def test_sweep_matches_per_shift_calls(rng):
         sweep = trace_inv_sweep(A, B, ts, method=method, n_v=5, degree=4, seed=11)
         for k, t in enumerate(ts):
             assert sweep[k] == estimate_trace_inv(shifted_operand(A, B, t), method=method,
-                                                  n_v=5, degree=4, seed=11 + k)
+                                                  n_v=5, degree=4, seed=11)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 10_000))
+def test_property_stochastic_sweep_is_strictly_decreasing(n, seed):
+    # the same probes at every shift make each probe's estimate decreasing in t
+    rng = np.random.default_rng(seed)
+    A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2, 2, n))
+    ts = np.logspace(-3, 3, 25)
+    for method in ("hutchinson", "slq"):
+        values = [e.value for e in trace_inv_sweep(A, SpdMatrix.identity(n), ts,
+                                                   method=method, n_v=4, degree=n // 2,
+                                                   seed=seed)]
+        assert all(a > b for a, b in zip(values, values[1:])), method
+
+
+class TestEigenSweep:
+    TS = [0.0, 0.01, 0.3, 2.0, 50.0]
+
+    def test_one_eigensolve_per_sweep(self, rng, monkeypatch):
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 5.0, 9))
+        sweep = trace_inv_sweep(A, SpdMatrix.identity(9), self.TS, method="eigen")
+        assert len(sweep) == len(self.TS)
+        assert calls == [(9, 9)]
+        assert all(e.method == "exact-eigen" for e in sweep)
+
+    @pytest.mark.parametrize("general_b", [False, True])
+    def test_matches_cholesky_sweep(self, rng, general_b):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 5.0, 10))
+        B = (spd_from_eigenvalues(rng, rng.uniform(0.5, 5.0, 10))[0] if general_b
+             else SpdMatrix.identity(10))
+        eigen = [e.value for e in trace_inv_sweep(A, B, self.TS, method="eigen")]
+        exact = [e.value for e in trace_inv_sweep(A, B, self.TS, method="cholesky")]
+        np.testing.assert_allclose(eigen, exact, rtol=1e-12)
+
+    def test_indefinite_b_raises(self):
+        A = SpdMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
+        B = SpdMatrix.from_dense(np.diag([1.0, -2.0, 3.0]))
+        with pytest.raises(NotPositiveDefinite):
+            trace_inv_sweep(A, B, self.TS, method="eigen")
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,8 +5,11 @@ import scipy.linalg
 import traceinv.experiments
 from traceinv import (
     InvalidShape,
+    PoleInDomain,
     SpdMatrix,
     TraceInvError,
+    compute_tau_at_nodes,
+    fit_rational,
     shifted_operand,
     trace_inv_exact_cholesky,
 )
@@ -295,19 +298,38 @@ class TestGcvExperiment:
                                                          trace_seed):
         res = gcv_experiment(small_problem, interpolation=2, method="cholesky",
                              trace_seed=trace_seed, de_seed=0, max_generations=1)
-        seed = None if trace_seed is None else trace_seed + 1
-        assert sweep_log == [([0.0, *GCV_NODE_SETS[2]], seed, 5), ("de",)]
+        assert sweep_log == [([0.0, *GCV_NODE_SETS[2]], trace_seed, 5), ("de",)]
         assert res.n_tr == 5
 
-    def test_exact_mode_seeds_follow_call_index(self, small_problem, sweep_log):
+    def test_exact_mode_every_call_uses_trace_seed(self, small_problem, sweep_log):
         res = gcv_experiment(small_problem, interpolation=None, method="hutchinson",
                              trace_seed=7, de_seed=0, popsize=4, max_generations=2)
         sweeps = [entry for entry in sweep_log if entry != ("de",)]
         assert sweep_log.index(("de",)) == 1  # tau0 comes first
         assert sweeps[0][0] == [0.0]
-        assert [seed for _, seed, _ in sweeps] == [8 + k for k in range(len(sweeps))]
+        assert [seed for _, seed, _ in sweeps] == [7] * len(sweeps)
         assert all(len(ts) == 1 for ts, _, _ in sweeps)
         assert sum(count for _, _, count in sweeps) == res.n_tr == res.n_tot
+
+    def test_exact_mode_stochastic_search_converges(self, small_problem):
+        # one probe set for every theta makes the objective deterministic
+        res = gcv_experiment(small_problem, interpolation=None, method="hutchinson",
+                             trace_seed=3, de_seed=0, max_generations=50)
+        assert res.converged
+        assert res.n_generations < 50
+
+    @pytest.mark.parametrize("method", ["slq", "hutchinson"])
+    def test_rational_p2_fit_has_no_pole_over_40_trace_seeds(self, small_problem, method):
+        # a pole in the domain means node values that mix probe sets
+        poles = []
+        for s in range(40):
+            ctx = small_problem.tau_context(method, seed=s)
+            pts = compute_tau_at_nodes(ctx, GCV_NODE_SETS[2], method, seed=s)
+            try:
+                fit_rational(ctx, pts, 2, eval_domain=small_problem.t_range())
+            except PoleInDomain:
+                poles.append(s)
+        assert poles == []
 
     @pytest.mark.parametrize("interpolation", [None, 2])
     def test_lower_bound_below_rank_floor_refused_up_front(self, interpolation, monkeypatch):

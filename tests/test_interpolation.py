@@ -25,7 +25,7 @@ from traceinv import (
     trace_inv_exact_eigen,
     trace_inv_sweep,
 )
-from traceinv.interpolation import interpolant_from_json, interpolant_to_json
+from traceinv.interpolation import interpolant_to_json
 from traceinv.ortho import eval_ortho_function
 
 from conftest import spd_from_eigenvalues
@@ -196,7 +196,6 @@ class TestBasisInterpolant:
         pts = InterpolantPoints.__new__(InterpolantPoints)
         object.__setattr__(pts, "ts", np.array([0.5, 0.5]))
         object.__setattr__(pts, "taus", np.array([0.6, 0.5]))
-        object.__setattr__(pts, "estimates", ())
         with pytest.raises(SingularSystem):
             fit_basis(ctx, pts)
 
@@ -271,6 +270,8 @@ class TestRationalInterpolant:
         with pytest.raises(PoleInDomain) as err:
             fit_rational(ctx, pts, 1)
         assert len(err.value.poles) >= 1
+        message = str(err.value)
+        assert "[0.9, 0.05]" in message and "decreasing Stieltjes curve" in message
 
     def test_pole_free_with_supplied_domain(self):
         ctx = diag_context([1.0, 2.0, 5.0])
@@ -298,23 +299,6 @@ def test_basis_nonpositive_result_flagged():
 
 
 class TestJsonRoundTrip:
-    def test_basis(self):
-        ctx = diag_context([1.0, 2.0, 5.0])
-        pts = compute_tau_at_nodes(ctx, [0.1, 1.0, 10.0])
-        interp = fit_basis(ctx, pts)
-        again = interpolant_from_json(interpolant_to_json(interp))
-        ts = np.logspace(-2, 2, 20)
-        np.testing.assert_array_equal(eval_basis(again, ts), eval_basis(interp, ts))
-
-    def test_rational(self):
-        ctx = diag_context([1.0, 2.0, 5.0])
-        pts = compute_tau_at_nodes(ctx, [0.1, 1.0])
-        interp = fit_rational(ctx, pts, 1)
-        again = interpolant_from_json(interpolant_to_json(interp))
-        ts = np.logspace(-2, 2, 20)
-        np.testing.assert_array_equal(eval_rational(again, ts),
-                                      eval_rational(interp, ts))
-
     def test_bound(self):
         record = interpolant_to_json(fit_basis(diag_context([2.0, 2.0]),
                                                InterpolantPoints(ts=[], taus=[])))
