@@ -16,12 +16,12 @@ _EXPORTS = {
         "TraceEstimate",
         "estimate_trace_inv",
         "lanczos",
+        "prepare_trace",
         "shifted_operand",
         "trace_inv_exact_cholesky",
         "trace_inv_exact_eigen",
         "trace_inv_hutchinson",
         "trace_inv_slq",
-        "trace_inv_sweep",
     ),
     "exceptions": (
         "DimensionMismatch",

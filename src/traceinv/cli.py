@@ -131,13 +131,13 @@ def _out_dir(args):
 
 
 def cmd_trace(args, argv):
-    from .estimators import trace_inv_sweep
+    from .estimators import prepare_trace
     from .matrices import SpdMatrix
 
     M = _load_operand(args)
     identity = SpdMatrix.identity(M.n)
-    sweeps = [trace_inv_sweep(M, identity, args.t, method=method, n_v=args.nv,
-                              degree=args.degree, seed=args.seed)
+    sweeps = [prepare_trace(M, identity, method=method, n_v=args.nv, degree=args.degree,
+                            seed=args.seed)(args.t)
               for method in args.method]
     rows = [(float(t), sweep[k]) for k, t in enumerate(args.t) for sweep in sweeps]
     out = _out_dir(args)
@@ -152,7 +152,7 @@ def cmd_trace(args, argv):
 def cmd_interpolate(args, argv):
     import numpy as np
 
-    from .estimators import trace_inv_sweep
+    from .estimators import prepare_trace
     from .interpolation import (
         compute_tau_at_nodes,
         compute_tau_context,
@@ -161,7 +161,6 @@ def cmd_interpolate(args, argv):
         fit_rational,
         interpolant_to_json,
     )
-    from .matrices import SpdMatrix
 
     M = _load_operand(args)
     ctx = compute_tau_context(M, method=args.method, n_v=args.nv,
@@ -173,8 +172,7 @@ def cmd_interpolate(args, argv):
     else:
         count = args.p if args.variant == "basis" else 2 * args.p
         nodes = default_nodes(ctx.tau0, count)
-    pts = compute_tau_at_nodes(ctx, nodes, method=args.method, n_v=args.nv,
-                               degree=args.degree, seed=args.seed)
+    pts = compute_tau_at_nodes(ctx, nodes)
     if args.variant == "rational":
         interp = fit_rational(ctx, pts, len(nodes) // 2)
     else:
@@ -190,7 +188,7 @@ def cmd_interpolate(args, argv):
     if args.sweep is not None:
         ts = _sweep_grid(args.sweep)
         rows = []
-        for t, est in zip(ts, trace_inv_sweep(M, SpdMatrix.identity(M.n), ts)):
+        for t, est in zip(ts, prepare_trace(ctx.A, ctx.B)(ts)):
             exact = est.value / ctx.trace_b_inv
             approx = float(interp(t))
             rel = approx / exact - 1.0
@@ -236,7 +234,7 @@ def cmd_gp(args, argv):
 
 
 def cmd_gcv(args, argv):
-    from .estimators import trace_inv_sweep
+    from .estimators import prepare_trace
     from .experiments import (
         gcv_experiment,
         gcv_theta_grid,
@@ -273,7 +271,7 @@ def cmd_gcv(args, argv):
         thetas = gcv_theta_grid(problem, count=args.curve_points)
         ts = problem.n * thetas - problem.s  # the trace argument gcv_value uses
         taus = [est.value / problem.m for est in
-                trace_inv_sweep(problem.shifted_gram, SpdMatrix.identity(problem.m), ts)]
+                prepare_trace(problem.shifted_gram, SpdMatrix.identity(problem.m))(ts)]
         rows_csv = [[float(th), gcv_value(problem, th, lambda _t, tau=tau: tau)]
                     for th, tau in zip(thetas, taus)]
         _write_csv(out / "gcv_curve.csv", ["theta", "v_exact"], rows_csv)

@@ -136,6 +136,16 @@ def _sample_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _probe_count(n_v, seed):
+    """n_v as an int, checked together with the seed before any work is done."""
+    if seed is None:
+        raise InvalidShape("a stochastic estimate needs an integer seed; it names the probe set")
+    n_v = int(n_v)
+    if n_v < 1:
+        raise InvalidShape("n_v must be >= 1")
+    return n_v
+
+
 def _sample_mean(samples, method, seed) -> TraceEstimate:
     """Mean of per-probe samples with its standard error (nan for one sample)."""
     n_v = samples.size
@@ -150,9 +160,7 @@ def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
     Probes z_k are Rademacher. All solves reuse a single Cholesky
     factorization of M; samples are accumulated in index order.
     """
-    n_v = int(n_v)
-    if n_v < 1:
-        raise InvalidShape("n_v must be >= 1")
+    n_v = _probe_count(n_v, seed)
     L = cholesky(M)
     samples = np.empty(n_v)
     for k in range(n_v):
@@ -213,9 +221,7 @@ def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
     n * sum_j w_j / theta_j. Non-positive quadrature nodes theta_j signal
     an indefinite operand.
     """
-    n_v = int(n_v)
-    if n_v < 1:
-        raise InvalidShape("n_v must be >= 1")
+    n_v = _probe_count(n_v, seed)
     n = M.n
     samples = np.empty(n_v)
     for k in range(n_v):
@@ -245,17 +251,17 @@ def estimate_trace_inv(M: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=
     raise InvalidShape(f"unknown trace method {method!r}")
 
 
-def trace_inv_sweep(A: SpdMatrix, B: SpdMatrix, ts, method="cholesky", n_v=30, degree=30,
-                    seed=0) -> list[TraceEstimate]:
-    """trace((A + t*B)^-1) for each t in ts, one estimate per shift.
+def prepare_trace(A: SpdMatrix, B: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=0):
+    """Back-end ts -> [estimate of trace((A + t*B)^-1) for t in ts], the only loop over t.
 
-    The seed names one probe set, drawn at every shift, so each entry equals
-    an ``estimate_trace_inv`` call with that seed and a stochastic sweep
-    decreases in t. ``method="eigen"`` does one eigensolve for all shifts.
+    ``method="eigen"`` does its one eigensolve here, so each later shift
+    costs O(n); the other methods work per shift. The seed names one probe
+    set, drawn at every shift, so each entry equals an ``estimate_trace_inv``
+    call with that seed and a stochastic sweep decreases in t.
     """
     if method == "eigen":
         evaluate = trace_inv_exact_eigen(A, B)
-        return [TraceEstimate(value=evaluate(t), method="exact-eigen") for t in ts]
-    return [estimate_trace_inv(shifted_operand(A, B, t), method=method, n_v=n_v,
-                               degree=degree, seed=seed)
-            for t in ts]
+        return lambda ts: [TraceEstimate(value=evaluate(t), method="exact-eigen") for t in ts]
+    return lambda ts: [estimate_trace_inv(shifted_operand(A, B, t), method=method, n_v=n_v,
+                                          degree=degree, seed=seed)
+                       for t in ts]

@@ -18,13 +18,13 @@ Two reproducible studies built on the estimator and interpolation layers:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .estimators import trace_inv_sweep
+from .estimators import prepare_trace
 from .exceptions import InvalidShape, TraceInvError
 from .interpolation import (
     InterpolantPoints,
@@ -125,11 +125,10 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     points = grid_points(side) if sampling == "grid" else random_points(side**2, seed)
     K = build_exponential_kernel(points, rho)
     n = K.n
-    identity = SpdMatrix.identity(n)
     ctx = compute_tau_context(K)
 
     ts = np.logspace(np.log10(sweep[0]), np.log10(sweep[1]), int(sweep[2]))
-    tau_exact = np.array([e.value for e in trace_inv_sweep(K, identity, ts)]) / n
+    tau_exact = np.array([e.value for e in ctx.backend(ts)]) / n
     upper = tau_upper_bound(ts, ctx.tau0)
     lower = tau_lower_bound(ts, K.trace(), float(n), n) / n  # unit diagonal: 1/(1+t)
 
@@ -303,23 +302,10 @@ class OptimizationResult:
         return float(np.log10(self.theta_star))
 
     def to_json(self):
-        return {
-            "method": self.method,
-            "interpolation": ("none" if self.interpolation is None
-                              else f"rational_p{self.interpolation}"),
-            "nodes": list(self.nodes),
-            "n_tr": self.n_tr,
-            "n_tot": self.n_tot,
-            "t_tr": self.t_tr,
-            "t_tot": self.t_tot,
-            "v_min": self.v_min,
-            "theta_star": self.theta_star,
-            "log10_theta_star": self.log10_theta_star,
-            "tau0": self.tau0,
-            "converged": self.converged,
-            "n_generations": self.n_generations,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "nodes": list(self.nodes),
+                "interpolation": ("none" if self.interpolation is None
+                                  else f"rational_p{self.interpolation}"),
+                "log10_theta_star": self.log10_theta_star}
 
 
 def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
@@ -327,16 +313,17 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
                    max_generations=200, nodes=None) -> OptimizationResult:
     """Minimize V(theta) by differential evolution over log10(theta).
 
-    ``interpolation=None`` evaluates tau with the chosen trace back-end at
-    every optimizer step. ``interpolation=p`` first computes tau0 plus tau
-    at 2p nodes with that back-end, fits a rational interpolant, and runs
-    the optimizer against the interpolant alone, so the number of exact
-    trace evaluations is exactly 2p + 1. Either way every trace evaluation
-    uses the probe set ``trace_seed``, so with a stochastic method the
-    objective is a deterministic function of theta.
+    One trace back-end serves the whole search (``t_tr`` includes its
+    preparation). ``interpolation=None`` evaluates tau with it at every
+    optimizer step. ``interpolation=p`` first computes tau0 plus tau at 2p
+    nodes with it, fits a rational interpolant, and runs the optimizer
+    against the interpolant alone, so the number of exact trace evaluations
+    is exactly 2p + 1. Either way every trace evaluation uses the probe set
+    ``trace_seed``, so with a stochastic method the objective is a
+    deterministic function of theta.
 
     A lower theta bound that leaves X^T X + n*theta*I indefinite is refused
-    before any trace is evaluated.
+    before any back-end is prepared.
     """
     t_start = time.perf_counter()
     lo, hi = problem.theta_bounds
@@ -347,13 +334,14 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
                            f" {-lam_min / problem.n:.3e}")
     A = problem.shifted_gram
     identity = SpdMatrix.identity(problem.m)
-    n_tr, t_tr = 0, 0.0
+    start = time.perf_counter()
+    backend = prepare_trace(A, identity, method=method, n_v=n_v, degree=degree, seed=trace_seed)
+    n_tr, t_tr = 0, time.perf_counter() - start
 
     def backend_taus(ts):
         nonlocal n_tr, t_tr
         start = time.perf_counter()
-        estimates = trace_inv_sweep(A, identity, ts, method=method, n_v=n_v, degree=degree,
-                                    seed=trace_seed)
+        estimates = backend(ts)
         t_tr += time.perf_counter() - start
         n_tr += len(estimates)
         return [e.value / problem.m for e in estimates]
@@ -374,8 +362,8 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
         if len(node_arr) != 2 * p:
             raise InvalidShape(f"rational degree p={p} needs 2p={2 * p} nodes")
         tau0, *taus = backend_taus([0.0, *node_arr])
-        ctx = TauContext(A=A, B=identity, tau0=tau0,
-                         trace_b_inv=float(problem.m), n=problem.m, t_min=-problem.s)
+        ctx = TauContext(A=A, B=identity, tau0=tau0, trace_b_inv=float(problem.m),
+                         n=problem.m, t_min=-problem.s, backend=backend)
         pts = InterpolantPoints(ts=np.array(node_arr), taus=np.array(taus))
         optimizer_tau = fit_rational(ctx, pts, p, eval_domain=problem.t_range())
 
@@ -411,19 +399,3 @@ def gcv_theta_grid(problem: GcvProblem, count=300, linear_span=1e-6):
         lin = np.linspace(max(lo, pivot - linear_span), min(hi, pivot + linear_span), count // 10)
         logs = np.unique(np.concatenate([logs, lin]))
     return logs
-
-
-def exact_eigen_tau_fn(problem: GcvProblem):
-    """Independent tau oracle from the design's singular-value profile.
-
-    X^T X has eigenvalues equal to the squared singular values regardless
-    of the reflector vectors, so tau(t) = mean(1/(sigma_i^2 + s + t)) is
-    available in closed form. Used for cross-checks; never used by the
-    production paths.
-    """
-    lam = problem.design.singular_values() ** 2 + problem.s
-
-    def tau(t):
-        return float(np.mean(1.0 / (lam + t)))
-
-    return tau

@@ -16,12 +16,12 @@ rational polynomial of degree p over p+1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .estimators import estimate_trace_inv, trace_inv_sweep
+from .estimators import estimate_trace_inv, prepare_trace
 from .exceptions import (
     InvalidShape,
     NonPositiveResult,
@@ -37,11 +37,14 @@ from .ortho import OrthoCoefficients, eval_ortho_function, gram_schmidt
 SMALL_T_FLOOR_FACTOR = 1e-3
 
 FIT_RESIDUAL_WARN = 1e-8
+NODE_HALF_WIDTH_DECADES = 2.0  # default nodes span this on each side of 1/tau0
+INEQUALITY_REL_SLACK = 1e-12  # check_inequality_suite: tolerated relative slack
+EQUALITY_RTOL = 1e-10  # and relative error of the equality case
 
 
 @dataclass(frozen=True)
 class TauContext:
-    """The pair (A, B) with its normalization constants."""
+    """The pair (A, B), its normalization constants and the back-end behind tau0."""
 
     A: SpdMatrix
     B: SpdMatrix
@@ -49,6 +52,7 @@ class TauContext:
     trace_b_inv: float
     n: int
     t_min: float | None = None
+    backend: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tau0 <= 0.0 or self.trace_b_inv <= 0.0:
@@ -59,22 +63,23 @@ class TauContext:
 
 def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky",
                         n_v=30, degree=30, seed=0, t_min=None) -> TauContext:
-    """Evaluate tau0 = trace(A^-1)/trace(B^-1) with the chosen back-end.
+    """Prepare the trace back-end of (A, B), kept for the nodes, and take tau0 from it.
 
     B defaults to the identity, where trace(B^-1) = n without any work;
     otherwise both traces use the probe set ``seed``. t_min is stored only
-    if the caller supplies it; no eigenvalue solve is triggered here.
+    if the caller supplies it.
     """
     if B is None:
         B = SpdMatrix.identity(A.n)
-    trace_a_inv = estimate_trace_inv(A, method=method, n_v=n_v, degree=degree, seed=seed).value
+    backend = prepare_trace(A, B, method=method, n_v=n_v, degree=degree, seed=seed)
+    (trace_a_inv,) = backend([0.0])
     if B.is_identity:
         trace_b_inv = float(B.n)
     else:
         trace_b_inv = estimate_trace_inv(B, method=method, n_v=n_v, degree=degree,
                                          seed=seed).value
-    return TauContext(A=A, B=B, tau0=trace_a_inv / trace_b_inv,
-                      trace_b_inv=trace_b_inv, n=A.n, t_min=t_min)
+    return TauContext(A=A, B=B, tau0=trace_a_inv.value / trace_b_inv,
+                      trace_b_inv=trace_b_inv, n=A.n, t_min=t_min, backend=backend)
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,8 @@ class InterpolantPoints:
     """Node locations t_i with their tau values.
 
     Nodes must be strictly increasing and positive, values strictly
-    decreasing and positive. Values from one sweep share one probe set and
-    decrease by construction, so a non-monotone sequence is rejected here
+    decreasing and positive. Values from one back-end share one probe set
+    and decrease by construction, so a non-monotone sequence is rejected here
     rather than silently producing a nonsense fit.
     """
 
@@ -105,7 +110,7 @@ class InterpolantPoints:
             if np.any(np.diff(taus) >= 0.0):
                 raise InvalidShape(
                     "tau values must decrease strictly with t; take every node "
-                    "value from one sweep so that all of them share one probe set"
+                    "value from one back-end so that all of them share one probe set"
                 )
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "taus", taus)
@@ -114,13 +119,12 @@ class InterpolantPoints:
         return self.ts.size
 
 
-def compute_tau_at_nodes(ctx: TauContext, ts, method="cholesky", n_v=30, degree=30,
-                         seed=0) -> InterpolantPoints:
-    """Evaluate tau at each node with the chosen trace back-end."""
+def compute_tau_at_nodes(ctx: TauContext, ts) -> InterpolantPoints:
+    """Evaluate tau at each node with the back-end that produced ctx.tau0."""
+    if ctx.backend is None:
+        raise InvalidShape("context has no trace back-end; build it with compute_tau_context")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    estimates = trace_inv_sweep(ctx.A, ctx.B, ts, method=method, n_v=n_v, degree=degree,
-                                seed=seed)
-    taus = np.array([e.value for e in estimates]) / ctx.trace_b_inv
+    taus = np.array([e.value for e in ctx.backend(ts)]) / ctx.trace_b_inv
     return InterpolantPoints(ts=ts, taus=taus)
 
 
@@ -143,14 +147,14 @@ def tau_lower_bound(t, trace_a, trace_b, n):
     return float(result) if result.ndim == 0 else result
 
 
-def default_nodes(tau0, p, half_width_decades=2.0):
+def default_nodes(tau0, p):
     """Log-spaced nodes centered on 1/tau0, where the bound errs the most."""
     if p < 1:
         return np.array([])
     center = np.log10(1.0 / tau0)
     if p == 1:
         return np.array([10.0**center])
-    return np.logspace(center - half_width_decades, center + half_width_decades, p)
+    return np.logspace(center - NODE_HALF_WIDTH_DECADES, center + NODE_HALF_WIDTH_DECADES, p)
 
 
 @dataclass(frozen=True)
@@ -394,20 +398,7 @@ class InequalityReport:
         return self.total_violations == 0
 
     def to_json(self):
-        return {
-            "trials": self.trials,
-            "order": self.order,
-            "seed": self.seed,
-            "passed": self.passed,
-            "sum_violations": self.sum_violations,
-            "equality_violations": self.equality_violations,
-            "difference_violations": self.difference_violations,
-            "harmonic_violations": self.harmonic_violations,
-            "worst_sum_slack": self.worst_sum_slack,
-            "worst_equality_error": self.worst_equality_error,
-            "worst_difference_slack": self.worst_difference_slack,
-            "worst_harmonic_slack": self.worst_harmonic_slack,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _random_orthogonal(rng, n):
@@ -419,8 +410,7 @@ def _harmonic_mean(x):
     return x.shape[-1] / np.sum(1.0 / x, axis=-1)
 
 
-def check_inequality_suite(trials, n, seed, vector_trials=None,
-                           rel_slack=1e-12, equality_rtol=1e-10) -> InequalityReport:
+def check_inequality_suite(trials, n, seed, vector_trials=None) -> InequalityReport:
     """Randomized verification of the trace inequalities.
 
     Four parts: (a) inverse-trace superadditivity on random SPD pairs,
@@ -449,7 +439,7 @@ def check_inequality_suite(trials, n, seed, vector_trials=None,
         rhs = 1.0 / np.sum(1.0 / lam) + 1.0 / np.sum(1.0 / mu)
         slack = (lhs - rhs) / rhs
         report.worst_sum_slack = min(report.worst_sum_slack, slack)
-        if slack < -rel_slack:
+        if slack < -INEQUALITY_REL_SLACK:
             report.sum_violations += 1
 
         # (b) equality when B = c*A
@@ -458,7 +448,7 @@ def check_inequality_suite(trials, n, seed, vector_trials=None,
         rhs_eq = 1.0 / np.sum(1.0 / lam) + 1.0 / np.sum(1.0 / (c * lam))
         err = abs(lhs_eq - rhs_eq) / rhs_eq
         report.worst_equality_error = max(report.worst_equality_error, err)
-        if err > equality_rtol:
+        if err > EQUALITY_RTOL:
             report.equality_violations += 1
 
         # (c) 1/trace((A-B)^-1) <= 1/trace(A^-1) - 1/trace(B^-1), shared
@@ -471,7 +461,7 @@ def check_inequality_suite(trials, n, seed, vector_trials=None,
         rhs_d = 1.0 / np.sum(1.0 / lam_c) - 1.0 / np.sum(1.0 / mu_c)
         slack_d = (rhs_d - lhs_d) / abs(rhs_d)
         report.worst_difference_slack = min(report.worst_difference_slack, slack_d)
-        if slack_d < -rel_slack:
+        if slack_d < -INEQUALITY_REL_SLACK:
             report.difference_violations += 1
 
     for _ in range(vector_trials):
@@ -482,7 +472,7 @@ def check_inequality_suite(trials, n, seed, vector_trials=None,
         rhs_h = _harmonic_mean(x) + _harmonic_mean(y)
         slack_h = (lhs_h - rhs_h) / rhs_h
         report.worst_harmonic_slack = min(report.worst_harmonic_slack, slack_h)
-        if slack_h < -rel_slack:
+        if slack_h < -INEQUALITY_REL_SLACK:
             report.harmonic_violations += 1
 
     return report

@@ -36,12 +36,12 @@ class SpdMatrix:
     data: object = field(repr=False, default=None)
 
     @classmethod
-    def from_dense(cls, array, rtol=SYMMETRY_RTOL):
+    def from_dense(cls, array):
         array = np.asarray(array, dtype=float)
         if array.ndim != 2 or array.shape[0] != array.shape[1]:
             raise InvalidShape(f"expected a square matrix, got shape {array.shape}")
         scale = np.max(np.abs(array)) or 1.0
-        if np.max(np.abs(array - array.T)) > rtol * scale:
+        if np.max(np.abs(array - array.T)) > SYMMETRY_RTOL * scale:
             raise InvalidShape("matrix is not symmetric within tolerance")
         return cls(n=array.shape[0], kind="dense", data=array)
 

@@ -15,6 +15,9 @@ import numpy as np
 
 from .exceptions import InvalidShape
 
+MUTATION = 0.8  # scale of the difference vector added to the best member
+SPREAD_RTOL = 1e-8  # converged: objective spread below this fraction of |best|
+
 
 @dataclass
 class DeResult:
@@ -25,12 +28,12 @@ class DeResult:
     converged: bool
 
 
-def differential_evolution(objective, bounds, popsize=40, mutation=0.8,
-                           max_generations=200, tol=1e-8, seed=0) -> DeResult:
+def differential_evolution(objective, bounds, popsize=40, max_generations=200,
+                           seed=0) -> DeResult:
     """Minimize a scalar function over [bounds[0], bounds[1]].
 
     Stops when the population's objective standard deviation drops below
-    ``tol`` times the best value's magnitude, or after ``max_generations``
+    ``SPREAD_RTOL`` times the best value's magnitude, or after ``max_generations``
     (the best-so-far point is returned either way, flagged via
     ``converged``).
     """
@@ -53,7 +56,7 @@ def differential_evolution(objective, bounds, popsize=40, mutation=0.8,
     generation = 0
     for generation in range(1, max_generations + 1):
         spread = float(np.std(fitness))
-        if spread == 0.0 or spread < tol * abs(fitness[best]):
+        if spread == 0.0 or spread < SPREAD_RTOL * abs(fitness[best]):
             converged = True
             generation -= 1
             break
@@ -63,7 +66,7 @@ def differential_evolution(objective, bounds, popsize=40, mutation=0.8,
                 r1 = int(rng.integers(popsize))
             while r2 == i or r2 == r1:
                 r2 = int(rng.integers(popsize))
-            trial = pop[best] + mutation * (pop[r1] - pop[r2])
+            trial = pop[best] + MUTATION * (pop[r1] - pop[r2])
             trial = min(max(trial, lo), hi)
             f_trial = objective(trial)
             n_evals += 1
@@ -74,7 +77,7 @@ def differential_evolution(objective, bounds, popsize=40, mutation=0.8,
                     best = i
     else:
         spread = float(np.std(fitness))
-        converged = bool(spread == 0.0 or spread < tol * abs(fitness[best]))
+        converged = bool(spread == 0.0 or spread < SPREAD_RTOL * abs(fitness[best]))
 
     return DeResult(x=float(pop[best]), fun=float(fitness[best]),
                     n_evals=n_evals, n_generations=generation, converged=converged)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from traceinv import SpdMatrix
 
@@ -19,3 +20,17 @@ def spd_from_eigenvalues(rng, eigenvalues):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the first argument of every scipy.linalg.eigh call."""
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls

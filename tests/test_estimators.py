@@ -11,12 +11,12 @@ from traceinv import (
     cholesky,
     estimate_trace_inv,
     lanczos,
+    prepare_trace,
     shifted_operand,
     trace_inv_exact_cholesky,
     trace_inv_exact_eigen,
     trace_inv_hutchinson,
     trace_inv_slq,
-    trace_inv_sweep,
 )
 
 from conftest import spd_from_eigenvalues
@@ -239,7 +239,7 @@ def test_sweep_matches_per_shift_calls(rng):
     B, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
     ts = [0.0, 0.5, 3.0]
     for method in ("cholesky", "hutchinson", "slq"):
-        sweep = trace_inv_sweep(A, B, ts, method=method, n_v=5, degree=4, seed=11)
+        sweep = prepare_trace(A, B, method=method, n_v=5, degree=4, seed=11)(ts)
         for k, t in enumerate(ts):
             assert sweep[k] == estimate_trace_inv(shifted_operand(A, B, t), method=method,
                                                   n_v=5, degree=4, seed=11)
@@ -253,44 +253,50 @@ def test_property_stochastic_sweep_is_strictly_decreasing(n, seed):
     A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2, 2, n))
     ts = np.logspace(-3, 3, 25)
     for method in ("hutchinson", "slq"):
-        values = [e.value for e in trace_inv_sweep(A, SpdMatrix.identity(n), ts,
-                                                   method=method, n_v=4, degree=n // 2,
-                                                   seed=seed)]
+        values = [e.value for e in prepare_trace(A, SpdMatrix.identity(n), method=method,
+                                                 n_v=4, degree=n // 2, seed=seed)(ts)]
         assert all(a > b for a, b in zip(values, values[1:])), method
 
 
 class TestEigenSweep:
     TS = [0.0, 0.01, 0.3, 2.0, 50.0]
 
-    def test_one_eigensolve_per_sweep(self, rng, monkeypatch):
-        calls = []
-        eigh = scipy.linalg.eigh
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    def test_one_eigensolve_per_sweep(self, rng, eigh_calls):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 5.0, 9))
-        sweep = trace_inv_sweep(A, SpdMatrix.identity(9), self.TS, method="eigen")
-        assert len(sweep) == len(self.TS)
-        assert calls == [(9, 9)]
-        assert all(e.method == "exact-eigen" for e in sweep)
+        backend = prepare_trace(A, SpdMatrix.identity(9), method="eigen")
+        assert eigh_calls == [(9, 9)]  # solved when prepared
+        sweeps = [backend(self.TS), backend([1.0])]
+        assert [len(sweep) for sweep in sweeps] == [len(self.TS), 1]
+        assert eigh_calls == [(9, 9)]
+        assert all(e.method == "exact-eigen" for e in sweeps[0] + sweeps[1])
 
     @pytest.mark.parametrize("general_b", [False, True])
     def test_matches_cholesky_sweep(self, rng, general_b):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 5.0, 10))
         B = (spd_from_eigenvalues(rng, rng.uniform(0.5, 5.0, 10))[0] if general_b
              else SpdMatrix.identity(10))
-        eigen = [e.value for e in trace_inv_sweep(A, B, self.TS, method="eigen")]
-        exact = [e.value for e in trace_inv_sweep(A, B, self.TS, method="cholesky")]
+        eigen = [e.value for e in prepare_trace(A, B, method="eigen")(self.TS)]
+        exact = [e.value for e in prepare_trace(A, B, method="cholesky")(self.TS)]
+        np.testing.assert_allclose(eigen, exact, rtol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10_000), st.booleans())
+    def test_property_matches_cholesky_back_end(self, n, seed, general_b):
+        # spectra of A and B in [0.1, 10], 13 shifts over six decades
+        rng = np.random.default_rng(seed)
+        A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, n))
+        B = (spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, n))[0] if general_b
+             else SpdMatrix.identity(n))
+        ts = np.logspace(-3, 3, 13)
+        eigen = [e.value for e in prepare_trace(A, B, "eigen")(ts)]
+        exact = [e.value for e in prepare_trace(A, B, "cholesky")(ts)]
         np.testing.assert_allclose(eigen, exact, rtol=1e-12)
 
     def test_indefinite_b_raises(self):
         A = SpdMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
         B = SpdMatrix.from_dense(np.diag([1.0, -2.0, 3.0]))
         with pytest.raises(NotPositiveDefinite):
-            trace_inv_sweep(A, B, self.TS, method="eigen")
+            prepare_trace(A, B, method="eigen")
 
 
 @settings(max_examples=25, deadline=None)

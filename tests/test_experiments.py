@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import traceinv.estimators
 import traceinv.experiments
 from traceinv import (
     InvalidShape,
@@ -10,13 +11,15 @@ from traceinv import (
     TraceInvError,
     compute_tau_at_nodes,
     fit_rational,
+    prepare_trace,
     shifted_operand,
     trace_inv_exact_cholesky,
+    trace_inv_hutchinson,
+    trace_inv_slq,
 )
 from traceinv.experiments import (
     GCV_NODE_SETS,
     count_local_minima,
-    exact_eigen_tau_fn,
     gcv_curve,
     gcv_experiment,
     gcv_theta_grid,
@@ -58,6 +61,13 @@ def singular_value_numerator(problem, theta):
     nt = n * theta
     shrink = nt / (design.singular_values() ** 2 + nt)
     return float(np.sum(y[m:] ** 2) + np.sum((shrink * y[:m]) ** 2)) / n
+
+
+def exact_eigen_tau_fn(problem):
+    """tau(t) = mean(1/(sigma_i^2 + s + t)) from the design's singular-value
+    profile: an oracle independent of every trace back-end."""
+    lam = problem.design.singular_values() ** 2 + problem.s
+    return lambda t: float(np.mean(1.0 / (lam + t)))
 
 
 class TestNodeSelection:
@@ -274,22 +284,29 @@ class TestGcvExperiment:
 
     @pytest.fixture
     def sweep_log(self, monkeypatch):
-        """Record (ts, seed, estimates returned) of every back-end sweep and
+        """Record ("prepare", seed) when a trace back-end is prepared,
+        (ts, seed, estimates returned) for every call of that back-end, and
         ("de",) when the optimizer starts."""
         log = []
-        sweep = traceinv.experiments.trace_inv_sweep
+        prepare = traceinv.experiments.prepare_trace
         de = traceinv.experiments.differential_evolution
 
-        def recording_sweep(A, B, ts, **kwargs):
-            estimates = sweep(A, B, ts, **kwargs)
-            log.append((list(ts), kwargs["seed"], len(estimates)))
-            return estimates
+        def recording_prepare(A, B, **kwargs):
+            log.append(("prepare", kwargs["seed"]))
+            backend = prepare(A, B, **kwargs)
+
+            def recording_backend(ts):
+                estimates = backend(ts)
+                log.append((list(ts), kwargs["seed"], len(estimates)))
+                return estimates
+
+            return recording_backend
 
         def recording_de(*args, **kwargs):
             log.append(("de",))
             return de(*args, **kwargs)
 
-        monkeypatch.setattr(traceinv.experiments, "trace_inv_sweep", recording_sweep)
+        monkeypatch.setattr(traceinv.experiments, "prepare_trace", recording_prepare)
         monkeypatch.setattr(traceinv.experiments, "differential_evolution", recording_de)
         return log
 
@@ -298,18 +315,33 @@ class TestGcvExperiment:
                                                          trace_seed):
         res = gcv_experiment(small_problem, interpolation=2, method="cholesky",
                              trace_seed=trace_seed, de_seed=0, max_generations=1)
-        assert sweep_log == [([0.0, *GCV_NODE_SETS[2]], trace_seed, 5), ("de",)]
+        assert sweep_log == [("prepare", trace_seed),
+                             ([0.0, *GCV_NODE_SETS[2]], trace_seed, 5), ("de",)]
         assert res.n_tr == 5
 
     def test_exact_mode_every_call_uses_trace_seed(self, small_problem, sweep_log):
         res = gcv_experiment(small_problem, interpolation=None, method="hutchinson",
                              trace_seed=7, de_seed=0, popsize=4, max_generations=2)
-        sweeps = [entry for entry in sweep_log if entry != ("de",)]
-        assert sweep_log.index(("de",)) == 1  # tau0 comes first
+        assert [e for e in sweep_log if e[0] == "prepare"] == [("prepare", 7)]
+        assert sweep_log[0] == ("prepare", 7)  # one back-end for the whole search
+        sweeps = [entry for entry in sweep_log[1:] if entry != ("de",)]
+        assert sweep_log.index(("de",)) == 2  # tau0 comes first
         assert sweeps[0][0] == [0.0]
         assert [seed for _, seed, _ in sweeps] == [7] * len(sweeps)
         assert all(len(ts) == 1 for ts, _, _ in sweeps)
         assert sum(count for _, _, count in sweeps) == res.n_tr == res.n_tot
+
+    def test_exact_eigen_search_solves_once(self, eigh_calls):
+        problem = make_gcv_problem(**SMALL)
+        problem.ridge_spectrum  # the numerator's own eigendecomposition of X^T X
+        eigh_calls.clear()
+        res = gcv_experiment(problem, interpolation=None, method="eigen", popsize=8,
+                             max_generations=1)
+        assert eigh_calls == [(60, 60)]
+        assert res.n_tr == res.n_tot == 17
+        chol = gcv_experiment(problem, interpolation=None, method="cholesky", popsize=8,
+                              max_generations=1)
+        assert res.theta_star == pytest.approx(chol.theta_star, rel=1e-10)
 
     def test_exact_mode_stochastic_search_converges(self, small_problem):
         # one probe set for every theta makes the objective deterministic
@@ -324,7 +356,7 @@ class TestGcvExperiment:
         poles = []
         for s in range(40):
             ctx = small_problem.tau_context(method, seed=s)
-            pts = compute_tau_at_nodes(ctx, GCV_NODE_SETS[2], method, seed=s)
+            pts = compute_tau_at_nodes(ctx, GCV_NODE_SETS[2])
             try:
                 fit_rational(ctx, pts, 2, eval_domain=small_problem.t_range())
             except PoleInDomain:
@@ -338,7 +370,7 @@ class TestGcvExperiment:
         problem = make_gcv_problem(**SMALL, theta_bounds=(1e-20, 10.0))
         floor = -problem.ridge_spectrum[0][0] / problem.n
         calls = []
-        monkeypatch.setattr(traceinv.experiments, "trace_inv_sweep",
+        monkeypatch.setattr(traceinv.experiments, "prepare_trace",
                             lambda *args, **kwargs: calls.append(args))
         with pytest.raises(InvalidShape, match=f"must exceed {floor:.3e}"):
             gcv_experiment(problem, interpolation=interpolation, method="cholesky")
@@ -347,6 +379,36 @@ class TestGcvExperiment:
     def test_default_node_sets(self):
         assert GCV_NODE_SETS[1] == (1e-3, 1e-1)
         assert GCV_NODE_SETS[2] == (1e-3, 1e-2, 1e-1, 1.0)
+
+
+@pytest.mark.parametrize("case", ["hutchinson", "slq", "prepare_trace", "gcv_experiment"])
+def test_stochastic_estimate_without_seed_refused(case, small_problem, monkeypatch):
+    # a seed names the probe set and None names none: refused before any work
+    work = []
+
+    def recording(name):
+        original = getattr(traceinv.estimators, name)
+
+        def wrapper(*args, **kwargs):
+            work.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("cholesky", "lanczos"):
+        monkeypatch.setattr(traceinv.estimators, name, recording(name))
+    M = SpdMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
+    runs = {
+        "hutchinson": lambda: trace_inv_hutchinson(M, n_v=3, seed=None),
+        "slq": lambda: trace_inv_slq(M, n_v=3, degree=2, seed=None),
+        "prepare_trace": lambda: prepare_trace(M, SpdMatrix.identity(3), "slq",
+                                               seed=None)([0.0, 1.0]),
+        "gcv_experiment": lambda: gcv_experiment(small_problem, method="hutchinson",
+                                                 trace_seed=None),
+    }
+    with pytest.raises(InvalidShape, match="needs an integer seed"):
+        runs[case]()
+    assert work == []
 
 
 class TestLocalMinimaCounter:

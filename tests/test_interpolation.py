@@ -19,11 +19,11 @@ from traceinv import (
     fit_basis,
     fit_rational,
     gram_schmidt,
+    prepare_trace,
     tau_lower_bound,
     tau_upper_bound,
     trace_inv_exact_cholesky,
     trace_inv_exact_eigen,
-    trace_inv_sweep,
 )
 from traceinv.interpolation import interpolant_to_json
 from traceinv.ortho import eval_ortho_function
@@ -96,7 +96,7 @@ class TestBounds:
         rng = np.random.default_rng(seed)
         A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2.0, 2.0, n))
         ts = np.logspace(-3, 3, 25)
-        traces = np.array([e.value for e in trace_inv_sweep(A, SpdMatrix.identity(n), ts)])
+        traces = np.array([e.value for e in prepare_trace(A, SpdMatrix.identity(n))(ts)])
         assert np.all(np.diff(traces) < 0.0)
         tau0 = compute_tau_context(A).tau0
         assert np.all(traces / n <= tau_upper_bound(ts, tau0) * (1 + 1e-12))
@@ -116,6 +116,22 @@ class TestTauContext:
         expected = (trace_inv_exact_cholesky(A).value
                     / trace_inv_exact_cholesky(B).value)
         assert ctx.tau0 == pytest.approx(expected, rel=1e-10)
+
+    def test_eigen_context_solves_once(self, eigh_calls):
+        # tau0 and every node come from one spectrum
+        d = np.array([1.0, 2.0, 5.0])
+        ctx = compute_tau_context(SpdMatrix.from_dense(np.diag(d)), method="eigen")
+        pts = compute_tau_at_nodes(ctx, [0.1, 1.0, 10.0])
+        assert eigh_calls == [(3, 3)]
+        assert ctx.tau0 == pytest.approx(np.mean(1.0 / d), rel=1e-14)
+        np.testing.assert_allclose(pts.taus, [np.mean(1.0 / (d + t)) for t in pts.ts],
+                                   rtol=1e-14)
+
+    def test_hand_built_context_has_no_back_end(self):
+        ctx = TauContext(A=SpdMatrix.identity(2), B=SpdMatrix.identity(2),
+                         tau0=1.0, trace_b_inv=2.0, n=2)
+        with pytest.raises(InvalidShape, match="no trace back-end"):
+            compute_tau_at_nodes(ctx, [0.1, 1.0])
 
     def test_t_min_sign_check(self):
         A = SpdMatrix.identity(2)
