@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
-from .matrices import SpdMatrix, cholesky
+from .matrices import SpdMatrix, cholesky, lapack_threads
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
 
@@ -89,7 +89,9 @@ def trace_inv_exact_cholesky(M: SpdMatrix) -> TraceEstimate:
     LAPACK dtrtri inverts the factor in place; ``cholesky`` hands back a
     fresh array, so M itself is left untouched.
     """
-    L_inv, info = scipy.linalg.lapack.dtrtri(cholesky(M), lower=1, overwrite_c=1)
+    L = cholesky(M)
+    with lapack_threads(M.n):
+        L_inv, info = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular inverse of the factor failed (info={info})")
     flat = L_inv.ravel(order="K")

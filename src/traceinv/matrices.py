@@ -8,6 +8,11 @@ spatial kernel study and ``DesignMatrix`` for the ridge-regression study.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +25,51 @@ SYMMETRY_RTOL = 1e-12
 # Pivots below this fraction of the largest diagonal entry are treated as
 # numerically indefinite rather than as a valid factorization.
 PIVOT_RTOL = 1e-14
+
+# LAPACK calls on operands below this order run on one BLAS thread. On 2
+# cores a second thread made the order-500 Cholesky trace 1.5-3x slower and
+# its timing far less steady; one thread stayed faster up to order 1500.
+ONE_THREAD_MAX_ORDER = 1024
+_BLAS_THREADS_LOCK = threading.RLock()
+
+
+@functools.cache
+def _openblas_thread_counts():
+    """(get, set) thread-count functions of each loaded LP64 OpenBLAS; () if none."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps})
+    except OSError:
+        return ()
+    controls = []
+    for lib in map(ctypes.CDLL, (p for p in paths if "openblas" in os.path.basename(p))):
+        for prefix in ("scipy_openblas", "openblas"):
+            if hasattr(lib, f"{prefix}_set_num_threads"):
+                get, set_count = lib[f"{prefix}_get_num_threads"], lib[f"{prefix}_set_num_threads"]
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_count.argtypes, set_count.restype = [ctypes.c_int], None
+                controls.append((get, set_count))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def lapack_threads(n):
+    """Run the block on one BLAS thread when n < ONE_THREAD_MAX_ORDER.
+
+    The count is process-wide, so such blocks take turns across Python
+    threads, and other BLAS work done meanwhile also gets one thread.
+    """
+    controls = _openblas_thread_counts() if n < ONE_THREAD_MAX_ORDER else ()
+    with _BLAS_THREADS_LOCK if controls else nullcontext():
+        saved = [(set_count, get()) for get, set_count in controls]
+        for set_count, _ in saved:
+            set_count(1)
+        try:
+            yield
+        finally:
+            for set_count, count in saved:
+                set_count(count)
 
 
 @dataclass(frozen=True)
@@ -85,7 +135,8 @@ def cholesky(A: SpdMatrix) -> np.ndarray:
         return np.eye(A.n)
     dense = A.to_dense()
     try:
-        L = scipy.linalg.cholesky(dense, lower=True, check_finite=False)
+        with lapack_threads(A.n):
+            L = scipy.linalg.cholesky(dense, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
     pivots = np.diag(L) ** 2

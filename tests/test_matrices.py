@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from traceinv import (
     random_points,
     trace_inv_exact_cholesky,
 )
+from traceinv import matrices
 from traceinv.matrices import apply_householder
 
 from conftest import spd_from_eigenvalues
@@ -78,6 +81,53 @@ class TestCholesky:
         L = cholesky(A)
         rel = np.linalg.norm(L @ L.T - A.to_dense()) / np.linalg.norm(A.to_dense())
         assert rel <= 1e-10
+
+
+class TestLapackThreads:
+    @pytest.fixture
+    def counts(self):
+        controls = matrices._openblas_thread_counts()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control found in this process")
+        return lambda: [get() for get, _ in controls]
+
+    def spy(self, monkeypatch, module, name, counts, seen):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            seen.append((name, counts()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    def test_small_trace_factors_on_one_thread(self, monkeypatch, rng, counts):
+        before, seen = counts(), []
+        self.spy(monkeypatch, scipy.linalg, "cholesky", counts, seen)
+        self.spy(monkeypatch, scipy.linalg.lapack, "dtrtri", counts, seen)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
+        trace_inv_exact_cholesky(A)
+        assert seen == [("cholesky", [1] * len(before)), ("dtrtri", [1] * len(before))]
+        assert counts() == before
+
+    def test_count_restored_after_failed_factorization(self, counts):
+        before = counts()
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(SpdMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]))
+        assert counts() == before
+
+    def test_large_order_keeps_thread_count(self, monkeypatch, rng, counts):
+        monkeypatch.setattr(matrices, "ONE_THREAD_MAX_ORDER", 30)
+        before, seen = counts(), []
+        self.spy(monkeypatch, scipy.linalg, "cholesky", counts, seen)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
+        cholesky(A)
+        assert seen == [("cholesky", before)]
+
+    def test_trace_agrees_with_default_thread_count(self, monkeypatch, rng):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 300))
+        one_thread = trace_inv_exact_cholesky(A).value
+        monkeypatch.setattr(matrices, "ONE_THREAD_MAX_ORDER", 0)
+        assert trace_inv_exact_cholesky(A).value == pytest.approx(one_thread, rel=1e-12)
 
 
 class TestPointClouds:
