@@ -20,6 +20,7 @@ from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
 from .matrices import SpdMatrix, cholesky, lapack_threads
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
+PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,11 @@ class LanczosTriDiag:
 
     alpha: np.ndarray = field(repr=False)
     beta: np.ndarray = field(repr=False)
+    steps: object  # steps of each column (an int for one start vector); zeros past them
 
     @property
     def degree(self):
+        """Steps of the longest recurrence, read as the work of one call."""
         return self.alpha.shape[0]
 
 
@@ -105,21 +108,22 @@ def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):
     V^T B V = I, the trace equals sum_i |v_i|^2 / (g_i + t), i.e.
     sum_i 1 / (lam_i + t*mu_i) with lam_i = g_i/|v_i|^2, mu_i = 1/|v_i|^2.
     When B is the identity this reduces to the plain eigenvalue sum. The
-    closure raises NotPositiveDefinite for t at or below -min(lam/mu).
+    closure raises NotPositiveDefinite for t at or below -min(lam/mu). Its
+    ``trace_b_inv`` attribute is trace(B^-1) = sum_i |v_i|^2, since V V^T = B^-1.
     """
     if B is not None and B.n != A.n:
         raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
     if B is None or B.is_identity:
-        lam = scipy.linalg.eigh(A.to_dense(), eigvals_only=True, check_finite=False)
-        mu = np.ones_like(lam)
+        gamma = scipy.linalg.eigh(A.to_dense(), eigvals_only=True, check_finite=False)
+        weights = np.ones_like(gamma)
     else:
         try:
             gamma, V = scipy.linalg.eigh(A.to_dense(), B.to_dense(), check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(f"B is not positive definite: {exc}") from exc
         weights = np.sum(V**2, axis=0)
-        lam = gamma / weights
-        mu = 1.0 / weights
+    lam = gamma / weights
+    mu = 1.0 / weights
 
     def evaluate(t):
         denom = lam + float(t) * mu
@@ -127,11 +131,8 @@ def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):
             raise NotPositiveDefinite(f"A + t*B is not positive definite at t={t}")
         return float(np.sum(1.0 / denom))
 
+    evaluate.trace_b_inv = float(np.sum(weights))
     return evaluate
-
-
-def _rademacher(n, rng):
-    return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
 
 
 def _sample_rng(seed, index):
@@ -148,6 +149,13 @@ def _probe_count(n_v, seed):
     return n_v
 
 
+def _probe_blocks(n, n_v, seed):
+    """The Rademacher probes of ``seed`` as (n, <= PROBE_BLOCK) blocks; probe k is column k."""
+    for start in range(0, n_v, PROBE_BLOCK):
+        yield np.column_stack([_sample_rng(seed, k).integers(0, 2, size=n) * 2.0 - 1.0
+                               for k in range(start, min(n_v, start + PROBE_BLOCK))])
+
+
 def _sample_mean(samples, method, seed) -> TraceEstimate:
     """Mean of per-probe samples with its standard error (nan for one sample)."""
     n_v = samples.size
@@ -159,84 +167,84 @@ def _sample_mean(samples, method, seed) -> TraceEstimate:
 def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
     """Monte-Carlo trace estimate (1/n_v) * sum_k z_k^T M^-1 z_k.
 
-    Probes z_k are Rademacher. All solves reuse a single Cholesky
-    factorization of M; samples are accumulated in index order.
+    Probes z_k are Rademacher. One Cholesky factorization of M serves every
+    probe, and each probe block takes one triangular solve.
     """
     n_v = _probe_count(n_v, seed)
     L = cholesky(M)
-    samples = np.empty(n_v)
-    for k in range(n_v):
-        z = _rademacher(M.n, _sample_rng(seed, k))
-        y = scipy.linalg.solve_triangular(L, z, lower=True, check_finite=False)
-        samples[k] = float(np.dot(y, y))  # z^T M^-1 z = |L^-1 z|^2
+    samples = np.concatenate([  # z^T M^-1 z = |L^-1 z|^2
+        np.sum(scipy.linalg.solve_triangular(L, Z, lower=True, check_finite=False) ** 2, axis=0)
+        for Z in _probe_blocks(M.n, n_v, seed)])
     return _sample_mean(samples, "hutchinson", seed)
 
 
 def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
     """Lanczos tridiagonalization with full reorthogonalization.
 
-    Stops early (graceful truncation) when the off-diagonal recurrence
-    coefficient falls below LANCZOS_BREAKDOWN_RTOL times a cheap norm
-    estimate of M, i.e. when an invariant subspace has been found.
+    ``v0`` is one start vector (n,) or a block (n, b) with one recurrence
+    per column (not block Lanczos); each step makes one product with M.
+    A column stops (graceful truncation) when its off-diagonal coefficient
+    falls below LANCZOS_BREAKDOWN_RTOL times a cheap norm estimate of M,
+    i.e. at an invariant subspace; its later entries are zero.
     """
     degree = int(degree)
     if degree < 1:
         raise InvalidShape("degree must be >= 1")
     v0 = np.asarray(v0, dtype=float)
-    norm0 = np.linalg.norm(v0)
-    if norm0 == 0.0:
+    V = v0.reshape(v0.shape[0], -1).T  # one row per recurrence
+    norms = np.linalg.norm(V, axis=1)
+    if np.any(norms == 0.0):
         raise InvalidShape("start vector must be nonzero")
     breakdown = LANCZOS_BREAKDOWN_RTOL * max(M.entry_norm(), 1e-300)
-
-    n = M.n
+    b, n = V.shape
     degree = min(degree, n)
-    Q = np.zeros((n, degree))
-    alpha = np.zeros(degree)
-    beta = np.zeros(max(degree - 1, 0))
-    q = v0 / norm0
-    Q[:, 0] = q
-    u = M.matvec(q)
-    alpha[0] = float(np.dot(q, u))
-    r = u - alpha[0] * q
-    k = 1
+    Q = np.zeros((b, degree, n))
+    alpha, beta = np.zeros((2, degree, b))  # beta[k] couples steps k-1 and k; beta[0] = 0
+    q = V / norms[:, None]
+    k = 0
     while k < degree:
-        r -= Q[:, :k] @ (Q[:, :k].T @ r)  # full reorthogonalization
-        b = float(np.linalg.norm(r))
-        if b < breakdown:
-            break
-        q = r / b
+        if k:
+            # full reorthogonalization of every column against its own basis
+            coeffs = np.matmul(Q[:, :k], r[:, :, None])
+            r -= np.matmul(coeffs.transpose(0, 2, 1), Q[:, :k])[:, 0]
+            beta[k] = np.linalg.norm(r, axis=1)
+            live = beta[k] >= breakdown  # a stopped column keeps r = 0 and stays stopped
+            if not live.any():
+                break
+            beta[k, ~live] = 0.0
+            q = r / np.where(live, beta[k], np.inf)[:, None]
         Q[:, k] = q
-        u = M.matvec(q)
-        alpha[k] = float(np.dot(q, u))
-        beta[k - 1] = b
-        r = u - alpha[k] * q - b * Q[:, k - 1]
+        u = M.matvec(q.T).T
+        alpha[k] = np.einsum("ij,ij->i", q, u)
+        r = u - alpha[k][:, None] * q - beta[k][:, None] * Q[:, k - 1]
         k += 1
-    return LanczosTriDiag(alpha=alpha[:k], beta=beta[: max(k - 1, 0)])
+    alpha, beta = alpha[:k], beta[1:k]
+    steps = 1 + np.count_nonzero(beta, axis=0)  # live coefficients are >= breakdown > 0
+    if v0.ndim == 1:
+        return LanczosTriDiag(alpha=alpha[:, 0], beta=beta[:, 0], steps=int(steps[0]))
+    return LanczosTriDiag(alpha=alpha, beta=beta, steps=steps)
 
 
 def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
     """Stochastic Lanczos quadrature estimate of trace(M^-1).
 
-    Each Rademacher probe is normalized to a unit start vector; the Gauss
-    quadrature weights come from the first components of the eigenvectors
-    of the Lanczos tridiagonal, and the per-probe estimate is
-    n * sum_j w_j / theta_j. Non-positive quadrature nodes theta_j signal
-    an indefinite operand.
+    Each Rademacher probe is normalized to a unit start vector, and each
+    probe block is one ``lanczos`` call. The Gauss quadrature weights w_j
+    are the squared first components of each probe's tridiagonal
+    eigenvectors, and its estimate is n * sum_j w_j / theta_j. Non-positive
+    quadrature nodes theta_j signal an indefinite operand.
     """
     n_v = _probe_count(n_v, seed)
-    n = M.n
-    samples = np.empty(n_v)
-    for k in range(n_v):
-        z = _rademacher(n, _sample_rng(seed, k))
-        tri = lanczos(M, z, degree)
-        theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha, tri.beta)
-        first = vecs[0, :]
-        if np.min(theta) <= 0.0:
-            raise NotPositiveDefinite(
-                f"quadrature node {np.min(theta):.3e} <= 0; operand is not positive definite"
-            )
-        samples[k] = n * float(np.sum(first**2 / theta))
-    return _sample_mean(samples, "slq", seed)
+    samples = []
+    for Z in _probe_blocks(M.n, n_v, seed):
+        tri = lanczos(M, Z, degree)
+        for j, s in enumerate(tri.steps):
+            theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha[:s, j], tri.beta[:s - 1, j])
+            if np.min(theta) <= 0.0:
+                raise NotPositiveDefinite(f"quadrature node {np.min(theta):.3e} <= 0; "
+                                          "operand is not positive definite")
+            samples.append(M.n * float(np.sum(vecs[0, :] ** 2 / theta)))
+    return _sample_mean(np.array(samples), "slq", seed)
 
 
 def estimate_trace_inv(M: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=0) -> TraceEstimate:
@@ -244,8 +252,7 @@ def estimate_trace_inv(M: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=
     if method == "cholesky":
         return trace_inv_exact_cholesky(M)
     if method == "eigen":
-        value = trace_inv_exact_eigen(M)(0.0)
-        return TraceEstimate(value=value, method="exact-eigen")
+        return prepare_trace(M, SpdMatrix.identity(M.n), method="eigen")([0.0])[0]
     if method == "hutchinson":
         return trace_inv_hutchinson(M, n_v=n_v, seed=seed)
     if method == "slq":
@@ -256,14 +263,19 @@ def estimate_trace_inv(M: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=
 def prepare_trace(A: SpdMatrix, B: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=0):
     """Back-end ts -> [estimate of trace((A + t*B)^-1) for t in ts], the only loop over t.
 
-    ``method="eigen"`` does its one eigensolve here, so each later shift
-    costs O(n); the other methods work per shift. The seed names one probe
-    set, drawn at every shift, so each entry equals an ``estimate_trace_inv``
-    call with that seed and a stochastic sweep decreases in t.
+    ``method="eigen"`` does its one eigensolve here (its back-end carries
+    that solve's ``trace_b_inv``), so each later shift costs O(n); the other
+    methods work per shift. The seed names one probe set, drawn at every
+    shift, so each entry equals an ``estimate_trace_inv`` call with that
+    seed and a stochastic sweep decreases in t.
     """
     if method == "eigen":
         evaluate = trace_inv_exact_eigen(A, B)
-        return lambda ts: [TraceEstimate(value=evaluate(t), method="exact-eigen") for t in ts]
+
+        def backend(ts):
+            return [TraceEstimate(value=evaluate(t), method="exact-eigen") for t in ts]
+        backend.trace_b_inv = evaluate.trace_b_inv
+        return backend
     return lambda ts: [estimate_trace_inv(shifted_operand(A, B, t), method=method, n_v=n_v,
                                           degree=degree, seed=seed)
                        for t in ts]

@@ -65,9 +65,9 @@ def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="choles
                         n_v=30, degree=30, seed=0, t_min=None) -> TauContext:
     """Prepare the trace back-end of (A, B), kept for the nodes, and take tau0 from it.
 
-    B defaults to the identity, where trace(B^-1) = n without any work;
-    otherwise both traces use the probe set ``seed``. t_min is stored only
-    if the caller supplies it.
+    B defaults to the identity, where trace(B^-1) = n without any work; the
+    eigen back-end already holds trace(B^-1); otherwise both traces use the
+    probe set ``seed``. t_min is stored only if the caller supplies it.
     """
     if B is None:
         B = SpdMatrix.identity(A.n)
@@ -75,6 +75,8 @@ def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="choles
     (trace_a_inv,) = backend([0.0])
     if B.is_identity:
         trace_b_inv = float(B.n)
+    elif method == "eigen":
+        trace_b_inv = backend.trace_b_inv
     else:
         trace_b_inv = estimate_trace_inv(B, method=method, n_v=n_v, degree=degree,
                                          seed=seed).value

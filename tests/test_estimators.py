@@ -158,6 +158,8 @@ class TestLanczos:
     def test_scaled_identity_truncates_to_degree_one(self):
         tri = lanczos(SpdMatrix.from_dense(3.0 * np.eye(6)), np.ones(6), degree=5)
         assert tri.degree == 1
+        # perfbench's tracer reads .degree as the number of steps a call ran
+        assert tri.steps == tri.degree
         np.testing.assert_allclose(tri.alpha, [3.0])
         assert tri.beta.size == 0
 
@@ -185,6 +187,91 @@ class TestLanczos:
     def test_zero_start_vector_rejected(self):
         with pytest.raises(InvalidShape):
             lanczos(SpdMatrix.identity(4), np.zeros(4), degree=2)
+
+
+def probe(seed, k, n):
+    """Probe k of the probe set ``seed``: Rademacher entries from substream k."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+    return rng.integers(0, 2, size=n) * 2.0 - 1.0
+
+
+def gauss_values(tri, n):
+    """n * e1^T T^-1 e1 for each column's tridiagonal, cut to its own steps."""
+    values = []
+    for j, s in enumerate(tri.steps):
+        theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha[:s, j], tri.beta[:s - 1, j])
+        values.append(n * np.sum(vecs[0, :] ** 2 / theta))
+    return np.array(values)
+
+
+class TestLanczosBlock:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 10_000))
+    def test_property_full_degree_gauss_value_is_exact(self, n, b, seed):
+        rng = np.random.default_rng(seed)
+        M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, n))
+        Z = rng.standard_normal((n, b))
+        exact = np.einsum("ij,ij->j", Z, np.linalg.solve(M.to_dense(), Z))
+        np.testing.assert_allclose(gauss_values(lanczos(M, Z, degree=n), n),
+                                   exact * n / np.sum(Z**2, axis=0), rtol=1e-10)
+
+    def test_mixed_breakdown_stops_each_column_on_its_own(self):
+        d = np.array([1.0, 1, 1, 2, 2, 2, 5, 5])
+        Z = np.column_stack([np.eye(8)[0] + np.eye(8)[1], np.ones(8)])
+        tri = lanczos(SpdMatrix.from_dense(np.diag(d)), Z, degree=8)
+        assert list(tri.steps) == [1, 3] and tri.degree == 3
+        exact = np.sum(Z**2 / d[:, None], axis=0) * 8 / np.sum(Z**2, axis=0)
+        np.testing.assert_allclose(gauss_values(tri, 8), exact, rtol=1e-13)
+        assert np.all(tri.alpha[1:, 0] == 0.0)
+
+    def test_columns_match_single_calls_and_permute(self, rng):
+        n, b = 40, 7
+        M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, n))
+        Z = rng.standard_normal((n, b))
+        tri = lanczos(M, Z, degree=10)
+        for j in range(b):
+            one = lanczos(M, Z[:, j], degree=10)
+            assert one.alpha.shape == (10,) and one.steps == 10
+            np.testing.assert_allclose(tri.alpha[:, j], one.alpha, rtol=1e-10)
+            np.testing.assert_allclose(tri.beta[:, j], one.beta, rtol=1e-10)
+        perm = rng.permutation(b)
+        swapped = lanczos(M, Z[:, perm], degree=10)
+        np.testing.assert_allclose(swapped.alpha, tri.alpha[:, perm], rtol=1e-10)
+        np.testing.assert_allclose(swapped.beta, tri.beta[:, perm], rtol=1e-10)
+
+    def test_zero_column_rejected(self):
+        with pytest.raises(InvalidShape):
+            lanczos(SpdMatrix.identity(4), np.column_stack([np.ones(4), np.zeros(4)]), degree=2)
+
+
+class TestProbeBlocks:
+    """Blocked estimators against one probe at a time; 70 probes span two blocks."""
+
+    N_V, SEED = 70, 13
+
+    def test_hutchinson_matches_per_probe_solves(self, rng):
+        M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, 30))
+        L = cholesky(M)
+        samples = []
+        for k in range(self.N_V):
+            y = scipy.linalg.solve_triangular(L, probe(self.SEED, k, 30), lower=True)
+            samples.append(y @ y)
+        est = trace_inv_hutchinson(M, n_v=self.N_V, seed=self.SEED)
+        assert est.value == pytest.approx(np.mean(samples), rel=1e-12)
+        assert est.std_error == pytest.approx(np.std(samples, ddof=1) / np.sqrt(self.N_V),
+                                              rel=1e-12)
+
+    def test_slq_matches_per_probe_lanczos(self, rng):
+        M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, 30))
+        samples = []
+        for k in range(self.N_V):
+            tri = lanczos(M, probe(self.SEED, k, 30), degree=8)
+            theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha, tri.beta)
+            samples.append(30 * np.sum(vecs[0, :] ** 2 / theta))
+        est = trace_inv_slq(M, n_v=self.N_V, degree=8, seed=self.SEED)
+        assert est.value == pytest.approx(np.mean(samples), rel=1e-10)
+        assert est.std_error == pytest.approx(np.std(samples, ddof=1) / np.sqrt(self.N_V),
+                                              rel=1e-10)
 
 
 class TestSlq:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +127,23 @@ class TestTauContext:
         assert ctx.tau0 == pytest.approx(np.mean(1.0 / d), rel=1e-14)
         np.testing.assert_allclose(pts.taus, [np.mean(1.0 / (d + t)) for t in pts.ts],
                                    rtol=1e-14)
+
+    def test_eigen_context_general_b_solves_once(self, rng, monkeypatch):
+        # trace(B^-1) comes from the pencil's B-orthonormal eigenvectors
+        arg_counts = []
+        eigh = scipy.linalg.eigh
+
+        def counting(*args, **kwargs):
+            arg_counts.append(len(args))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 5.0, 7))
+        B, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 5.0, 7))
+        ctx = compute_tau_context(A, B, method="eigen")
+        assert arg_counts == [2]
+        expected = np.sum(1.0 / scipy.linalg.eigvalsh(B.to_dense()))
+        assert ctx.trace_b_inv == pytest.approx(expected, rel=1e-12)
 
     def test_hand_built_context_has_no_back_end(self):
         ctx = TauContext(A=SpdMatrix.identity(2), B=SpdMatrix.identity(2),
