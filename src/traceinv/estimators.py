@@ -1,8 +1,9 @@
 """Exact and stochastic estimators of trace(M^-1).
 
 The exact Cholesky route inverts the lower factor L in place and takes
-the squared Frobenius norm of L^-1, so it needs no buffer beyond the
-factor itself. The stochastic routes (Hutchinson and stochastic
+the squared Frobenius norm of L^-1 as a single-threaded pairwise sum, so
+it needs no buffer beyond the factor itself. A prepared back-end computes
+each distinct shift once. The stochastic routes (Hutchinson and stochastic
 Lanczos quadrature) draw Rademacher probe vectors from per-sample seed
 streams derived from one master seed, which makes results reproducible
 and independent of the order in which samples are processed.
@@ -90,15 +91,17 @@ def trace_inv_exact_cholesky(M: SpdMatrix) -> TraceEstimate:
     """trace(M^-1) as the squared Frobenius norm of L^-1 from M = L L^T.
 
     LAPACK dtrtri inverts the factor in place; ``cholesky`` hands back a
-    fresh array, so M itself is left untouched.
+    fresh array, so M itself is left untouched. The inverse is squared in
+    place and summed by numpy's pairwise reduction, which is single-threaded:
+    a BLAS dot product would wake numpy's own thread pool beside scipy's.
     """
     L = cholesky(M)
     with lapack_threads(M.n):
         L_inv, info = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular inverse of the factor failed (info={info})")
-    flat = L_inv.ravel(order="K")
-    return TraceEstimate(value=float(flat @ flat), method="exact-cholesky")
+    np.square(L_inv, out=L_inv)
+    return TraceEstimate(value=float(L_inv.sum()), method="exact-cholesky")
 
 
 def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):
@@ -265,9 +268,10 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix, method="cholesky", n_v=30, degree=
 
     ``method="eigen"`` does its one eigensolve here (its back-end carries
     that solve's ``trace_b_inv``), so each later shift costs O(n); the other
-    methods work per shift. The seed names one probe set, drawn at every
-    shift, so each entry equals an ``estimate_trace_inv`` call with that
-    seed and a stochastic sweep decreases in t.
+    methods work per distinct shift, kept across calls. The seed names one
+    probe set, drawn at every shift, so each entry equals an
+    ``estimate_trace_inv`` call with that seed, a repeated shift needs no
+    second estimate, and a stochastic sweep decreases in t.
     """
     if method == "eigen":
         evaluate = trace_inv_exact_eigen(A, B)
@@ -276,6 +280,13 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix, method="cholesky", n_v=30, degree=
             return [TraceEstimate(value=evaluate(t), method="exact-eigen") for t in ts]
         backend.trace_b_inv = evaluate.trace_b_inv
         return backend
-    return lambda ts: [estimate_trace_inv(shifted_operand(A, B, t), method=method, n_v=n_v,
-                                          degree=degree, seed=seed)
-                       for t in ts]
+    estimates = {}  # float(t) -> TraceEstimate
+
+    def backend(ts):
+        ts = [float(t) for t in ts]
+        for t in ts:
+            if t not in estimates:
+                estimates[t] = estimate_trace_inv(shifted_operand(A, B, t), method=method,
+                                                  n_v=n_v, degree=degree, seed=seed)
+        return [estimates[t] for t in ts]
+    return backend

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import traceinv.estimators
 from traceinv import SpdMatrix
 
 
@@ -33,4 +34,18 @@ def eigh_calls(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Orders of the operands factored by the estimators' Cholesky calls."""
+    calls = []
+    cholesky = traceinv.estimators.cholesky
+
+    def counting(M):
+        calls.append(M.n)
+        return cholesky(M)
+
+    monkeypatch.setattr(traceinv.estimators, "cholesky", counting)
     return calls

@@ -211,5 +211,7 @@ def test_results_agree_across_thread_counts(tmp_path):
     assert len(values["1"]) == 9
     for (t, method, one), (t2, method2, two) in zip(values["1"], values["2"]):
         assert (t, method) == (t2, method2)
-        rel = 1e-12 if method == "exact-cholesky" else 1e-6
-        assert two == pytest.approx(one, rel=rel)
+        if method == "exact-cholesky":  # order 400 factors on one thread at any count
+            assert two.hex() == one.hex()
+        else:
+            assert two == pytest.approx(one, rel=1e-6)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +73,13 @@ class TestExactCholesky:
             M, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 3.0, n))
             direct = np.sum(np.linalg.inv(cholesky(M)) ** 2)
             assert trace_inv_exact_cholesky(M).value == pytest.approx(direct, rel=1e-12)
+
+    def test_sum_of_squares_matches_correctly_rounded_sum(self, rng):
+        M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2, 2, 300))
+        L_inv, info = scipy.linalg.lapack.dtrtri(cholesky(M), lower=1)
+        assert info == 0
+        exact = math.fsum((L_inv**2).ravel())
+        assert trace_inv_exact_cholesky(M).value == pytest.approx(exact, rel=1e-14)
 
 
 class TestExactEigen:
@@ -330,6 +340,40 @@ def test_sweep_matches_per_shift_calls(rng):
         for k, t in enumerate(ts):
             assert sweep[k] == estimate_trace_inv(shifted_operand(A, B, t), method=method,
                                                   n_v=5, degree=4, seed=11)
+
+
+class TestDistinctShifts:
+    def test_repeated_shifts_factor_once(self, rng, cholesky_calls):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
+        I = SpdMatrix.identity(8)
+        ts = [1.0, 0.5, 1.0, 0.5, 0.0]
+        backend = prepare_trace(A, I)
+        sweep = backend(ts)
+        assert len(cholesky_calls) == 3 and len(sweep) == 5
+        assert backend([0.5, 2.0])[0] is sweep[1]  # kept across calls
+        assert len(cholesky_calls) == 4
+        for t, est in zip(ts, sweep):
+            fresh = trace_inv_exact_cholesky(shifted_operand(A, I, t))
+            assert est.value.hex() == fresh.value.hex()
+
+    def test_repeated_stochastic_shift_keeps_its_probe_set(self, rng):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
+        I = SpdMatrix.identity(8)
+        backend = prepare_trace(A, I, method="slq", n_v=5, degree=4, seed=13)
+        values = [e.value for e in backend([0.3, 0.3, 2.0]) + backend([0.3])]
+        fresh = [estimate_trace_inv(shifted_operand(A, I, t), method="slq", n_v=5, degree=4,
+                                    seed=13).value for t in (0.3, 0.3, 2.0, 0.3)]
+        assert [v.hex() for v in values] == [v.hex() for v in fresh]
+
+    def test_back_ends_share_no_values(self, rng):
+        ts = [0.0, 0.5]
+        operands = [spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 6))[0] for _ in range(2)]
+        backends = [prepare_trace(A, SpdMatrix.identity(6)) for A in operands]
+        sweeps = [[e.value for e in backend(ts)] for backend in backends]
+        assert sweeps[0][0] != sweeps[1][0] and sweeps[0][1] != sweeps[1][1]
+        for A, sweep in zip(operands, sweeps):
+            assert sweep == [trace_inv_exact_cholesky(shifted_operand(A, SpdMatrix.identity(6),
+                                                                     t)).value for t in ts]
 
 
 @settings(max_examples=25, deadline=None)

@@ -110,6 +110,11 @@ class TestGpExperiment:
                             sweep=(1e-1, 10.0, 5), sampling="random", seed=3)
         assert res.node_check_failures == 0
 
+    def test_shared_shifts_factored_once(self, cholesky_calls):
+        # tau0, 3 curve points, 1 + 9 nodes: 1e-4, 0.1 and 1e3 recur
+        gp_experiment(side=8, p_values=(1, 9), sweep=(1e-4, 1e3, 3))
+        assert cholesky_calls == [64] * 11
+
     def test_desk_scale_guard(self):
         with pytest.raises(Exception):
             gp_experiment(side=101)
@@ -330,6 +335,15 @@ class TestGcvExperiment:
         assert [seed for _, seed, _ in sweeps] == [7] * len(sweeps)
         assert all(len(ts) == 1 for ts, _, _ in sweeps)
         assert sum(count for _, _, count in sweeps) == res.n_tr == res.n_tot
+
+    def test_exact_mode_factors_each_distinct_theta_once(self, small_problem, sweep_log,
+                                                         cholesky_calls):
+        # the search proposes some theta more than once; each call is still counted
+        res = gcv_experiment(small_problem, interpolation=None, method="cholesky",
+                             de_seed=1, max_generations=30)
+        shifts = [t for entry in sweep_log if len(entry) == 3 for t in entry[0]]
+        assert len(shifts) == res.n_tr == res.n_tot
+        assert len(cholesky_calls) == len(set(shifts)) < res.n_tr
 
     def test_exact_eigen_search_solves_once(self, eigh_calls):
         problem = make_gcv_problem(**SMALL)
