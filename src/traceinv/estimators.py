@@ -90,18 +90,19 @@ def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
 def trace_inv_exact_cholesky(M: SpdMatrix) -> TraceEstimate:
     """trace(M^-1) as the squared Frobenius norm of L^-1 from M = L L^T.
 
-    LAPACK dtrtri inverts the factor in place; ``cholesky`` hands back a
-    fresh array, so M itself is left untouched. The inverse is squared in
-    place and summed by numpy's pairwise reduction, which is single-threaded:
-    a BLAS dot product would wake numpy's own thread pool beside scipy's.
+    LAPACK dtrtri inverts the F-ordered upper factor L^T in place on the
+    factor's own buffer, a fresh array, so M itself is left untouched. The
+    inverse is squared in place and summed by numpy's pairwise reduction,
+    which is single-threaded: a BLAS dot product would wake numpy's own
+    thread pool beside scipy's.
     """
     L = cholesky(M)
     with lapack_threads(M.n):
-        L_inv, info = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
+        U_inv, info = scipy.linalg.lapack.dtrtri(L.T, lower=0, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular inverse of the factor failed (info={info})")
-    np.square(L_inv, out=L_inv)
-    return TraceEstimate(value=float(L_inv.sum()), method="exact-cholesky")
+    np.square(U_inv, out=U_inv)
+    return TraceEstimate(value=float(U_inv.sum()), method="exact-cholesky")
 
 
 def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):

@@ -16,7 +16,8 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
 
@@ -87,7 +88,8 @@ class SpdMatrix:
 
     @classmethod
     def from_dense(cls, array):
-        array = np.asarray(array, dtype=float)
+        """Operand stored as a C-ordered array: an input in another layout is copied once."""
+        array = np.ascontiguousarray(array, dtype=float)
         if array.ndim != 2 or array.shape[0] != array.shape[1]:
             raise InvalidShape(f"expected a square matrix, got shape {array.shape}")
         scale = np.max(np.abs(array)) or 1.0
@@ -113,32 +115,37 @@ class SpdMatrix:
         return float(self.diagonal().sum())
 
     def matvec(self, v):
+        """Product with a vector (n,) or a block (n, b): one scipy dgemm of the
+        F-ordered view data^T, transposed, so data and an F-ordered block are not copied."""
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n:
             raise DimensionMismatch(f"vector length {v.shape[0]} != order {self.n}")
         if self.kind == "identity":
             return v.copy()
-        return self.data @ v
+        block = v.reshape(self.n, -1)
+        return scipy.linalg.blas.dgemm(1.0, self.data.T, block, trans_a=1).reshape(v.shape)
 
     def entry_norm(self):
-        """Cheap magnitude estimate: largest entry in absolute value."""
-        return 1.0 if self.is_identity else float(np.max(np.abs(self.data)))
+        """Largest entry in absolute value, which a PSD matrix has on its diagonal."""
+        return 1.0 if self.is_identity else float(np.max(np.abs(np.diag(self.data))))
 
 
 def cholesky(A: SpdMatrix) -> np.ndarray:
-    """Lower-triangular L with A = L L^T, raising NotPositiveDefinite on failure.
+    """C-ordered lower-triangular L with A = L L^T, raising NotPositiveDefinite on failure.
 
-    L is a fresh array that the caller owns: A's storage is never
-    overwritten.
+    dpotrf factors the upper triangle of A^T, i.e. A's lower triangle, on
+    an F-ordered copy that is a plain memcpy of A. L^T is the LAPACK upper
+    factor, F-ordered, so LAPACK takes it without a copy. L is a fresh
+    array that the caller owns: A's storage is never overwritten.
     """
     if A.is_identity:
         return np.eye(A.n)
     dense = A.to_dense()
-    try:
-        with lapack_threads(A.n):
-            L = scipy.linalg.cholesky(dense, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
+    with lapack_threads(A.n):
+        U, info = scipy.linalg.lapack.dpotrf(dense.T.copy(order="F"), lower=0, overwrite_a=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (dpotrf info={info})")
+    L = U.T
     pivots = np.diag(L) ** 2
     max_diag = float(np.max(np.diag(dense)))
     if np.min(pivots) < PIVOT_RTOL * max_diag:

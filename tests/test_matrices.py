@@ -39,6 +39,31 @@ class TestSpdMatrix:
         assert I.trace() == 4.0
         np.testing.assert_array_equal(I.to_dense(), np.eye(4))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10_000))
+    def test_entry_norm_is_largest_entry(self, n, seed):
+        rng = np.random.default_rng(seed)
+        A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2, 2, n))
+        assert A.entry_norm().hex() == float(np.max(np.abs(A.data))).hex()
+
+    @pytest.mark.parametrize("shape,order", [((60,), "C"), ((60, 7), "C"), ((60, 7), "F")])
+    def test_matvec_matches_matmul(self, rng, shape, order):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 60))
+        Z = np.asarray(rng.standard_normal(shape), order=order)
+        product = A.matvec(Z)
+        assert product.shape == shape
+        reference = A.data @ Z
+        assert np.linalg.norm(product - reference) <= 1e-14 * np.linalg.norm(reference)
+
+    def test_f_ordered_operand_is_stored_c_ordered(self, rng):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
+        F = SpdMatrix.from_dense(np.asfortranarray(A.data))
+        assert F.data.flags.c_contiguous
+        np.testing.assert_array_equal(F.data, A.data)
+        Z = rng.standard_normal((40, 5))
+        np.testing.assert_array_equal(F.matvec(Z), A.matvec(Z))
+        np.testing.assert_array_equal(cholesky(F), cholesky(A))
+
 
 class TestCholesky:
     def test_identity(self):
@@ -64,6 +89,32 @@ class TestCholesky:
     def test_tiny_pivot_raises(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(SpdMatrix.from_dense(np.diag([1.0, 1e-16])))
+
+    def test_reads_only_lower_triangle(self, rng):
+        n = 40
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, n))
+        lower = np.tril(A.data) + np.tril(A.data, -1).T
+        perturbed = lower.copy()
+        upper = np.triu_indices(n, 1)
+        perturbed[upper] *= 1.0 + 0.5 * matrices.SYMMETRY_RTOL * rng.uniform(-1, 1, upper[0].size)
+        assert not np.array_equal(perturbed, lower)
+        L = cholesky(SpdMatrix.from_dense(perturbed))
+        reference = cholesky(SpdMatrix.from_dense(lower))
+        assert L.flags.c_contiguous and not np.any(np.triu(L, 1))
+        assert list(map(float.hex, L.ravel())) == list(map(float.hex, reference.ravel()))
+
+    def test_inverse_takes_factor_without_copy(self, monkeypatch, rng):
+        real, seen = scipy.linalg.lapack.dtrtri, []
+
+        def spy(c, *args, **kwargs):
+            inverse, info = real(c, *args, **kwargs)
+            seen.append((c.flags.f_contiguous, np.shares_memory(inverse, c)))
+            return inverse, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", spy)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
+        trace_inv_exact_cholesky(A)
+        assert seen == [(True, True)]
 
     def test_source_left_untouched(self, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
@@ -102,11 +153,11 @@ class TestLapackThreads:
 
     def test_small_trace_factors_on_one_thread(self, monkeypatch, rng, counts):
         before, seen = counts(), []
-        self.spy(monkeypatch, scipy.linalg, "cholesky", counts, seen)
+        self.spy(monkeypatch, scipy.linalg.lapack, "dpotrf", counts, seen)
         self.spy(monkeypatch, scipy.linalg.lapack, "dtrtri", counts, seen)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
         trace_inv_exact_cholesky(A)
-        assert seen == [("cholesky", [1] * len(before)), ("dtrtri", [1] * len(before))]
+        assert seen == [("dpotrf", [1] * len(before)), ("dtrtri", [1] * len(before))]
         assert counts() == before
 
     def test_count_restored_after_failed_factorization(self, counts):
@@ -118,10 +169,10 @@ class TestLapackThreads:
     def test_large_order_keeps_thread_count(self, monkeypatch, rng, counts):
         monkeypatch.setattr(matrices, "ONE_THREAD_MAX_ORDER", 30)
         before, seen = counts(), []
-        self.spy(monkeypatch, scipy.linalg, "cholesky", counts, seen)
+        self.spy(monkeypatch, scipy.linalg.lapack, "dpotrf", counts, seen)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
         cholesky(A)
-        assert seen == [("cholesky", before)]
+        assert seen == [("dpotrf", before)]
 
     def test_trace_agrees_with_default_thread_count(self, monkeypatch, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 300))
