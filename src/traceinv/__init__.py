@@ -41,11 +41,11 @@ _EXPORTS = {
         "make_gcv_problem",
         "relative_log_theta_error",
     ),
+    "inequalities": ("InequalityReport", "check_inequality_suite"),
     "interpolation": (
         "Interpolant",
         "InterpolantPoints",
         "TauContext",
-        "check_inequality_suite",
         "compute_tau_at_nodes",
         "compute_tau_context",
         "eval_basis",

@@ -284,7 +284,7 @@ def cmd_gcv(args, argv):
 
 
 def cmd_check(args, argv):
-    from .interpolation import check_inequality_suite
+    from .inequalities import check_inequality_suite
 
     report = check_inequality_suite(args.trials, args.n, args.seed)
     out = _out_dir(args)

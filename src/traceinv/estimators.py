@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
-from .matrices import SpdMatrix, cholesky, lapack_threads
+from .matrices import SpdMatrix, cholesky, lapack_threads, shifted_array
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
 PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
@@ -72,32 +72,28 @@ class LanczosTriDiag:
 
 
 def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
-    """Materialize A + t*B (diagonal update when B is the identity).
+    """A + t*B as a dense operand that owns its one fresh array.
 
-    A and B were checked for symmetry when they were built, so their sum
-    is stored directly instead of being scanned again.
+    The array is the C-ordered transpose of ``shifted_array``'s buffer, so
+    A + t*B is formed in one place. A and B were checked for symmetry when
+    they were built, so their sum is not scanned again. The estimators
+    factor A + t*B without this operand (see ``prepare_trace``).
     """
-    if A.n != B.n:
-        raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
-    t = float(t)
-    if B.is_identity:
-        shifted = A.to_dense().copy()
-        shifted[np.diag_indices_from(shifted)] += t
-        return SpdMatrix(A.n, "dense", shifted)
-    return SpdMatrix(A.n, "dense", A.to_dense() + t * B.to_dense())
+    return SpdMatrix(A.n, "dense", shifted_array(A, B, t).T)
 
 
-def trace_inv_exact_cholesky(M: SpdMatrix) -> TraceEstimate:
-    """trace(M^-1) as the squared Frobenius norm of L^-1 from M = L L^T.
+def trace_inv_exact_cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> TraceEstimate:
+    """trace(M^-1) as the squared Frobenius norm of L^-1 from M = A + t*B = L L^T.
 
-    LAPACK dtrtri inverts the F-ordered upper factor L^T in place on the
-    factor's own buffer, a fresh array, so M itself is left untouched. The
-    inverse is squared in place and summed by numpy's pairwise reduction,
-    which is single-threaded: a BLAS dot product would wake numpy's own
-    thread pool beside scipy's.
+    B = None means M = A. LAPACK dtrtri inverts the F-ordered upper factor
+    L^T in place on the buffer ``cholesky`` factored, the one n x n array of
+    the call, so A and B are left untouched. The inverse is squared in
+    place and summed by numpy's pairwise reduction, which is
+    single-threaded: a BLAS dot product would wake numpy's own thread pool
+    beside scipy's.
     """
-    L = cholesky(M)
-    with lapack_threads(M.n):
+    L = cholesky(A, B, t)
+    with lapack_threads(A.n):
         U_inv, info = scipy.linalg.lapack.dtrtri(L.T, lower=0, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular inverse of the factor failed (info={info})")
@@ -168,17 +164,19 @@ def _sample_mean(samples, method, seed) -> TraceEstimate:
                          std_error=std_error, seed=int(seed))
 
 
-def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
-    """Monte-Carlo trace estimate (1/n_v) * sum_k z_k^T M^-1 z_k.
+def trace_inv_hutchinson(A: SpdMatrix, n_v, seed, B: SpdMatrix | None = None,
+                         t=0.0) -> TraceEstimate:
+    """Monte-Carlo trace estimate (1/n_v) * sum_k z_k^T M^-1 z_k of M = A + t*B.
 
-    Probes z_k are Rademacher. One Cholesky factorization of M serves every
-    probe, and each probe block takes one triangular solve.
+    B = None means M = A. Probes z_k are Rademacher. One Cholesky
+    factorization of M serves every probe, and each probe block takes one
+    triangular solve.
     """
     n_v = _probe_count(n_v, seed)
-    L = cholesky(M)
+    L = cholesky(A, B, t)
     samples = np.concatenate([  # z^T M^-1 z = |L^-1 z|^2
         np.sum(scipy.linalg.solve_triangular(L, Z, lower=True, check_finite=False) ** 2, axis=0)
-        for Z in _probe_blocks(M.n, n_v, seed)])
+        for Z in _probe_blocks(A.n, n_v, seed)])
     return _sample_mean(samples, "hutchinson", seed)
 
 
@@ -283,11 +281,19 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix, method="cholesky", n_v=30, degree=
         return backend
     estimates = {}  # float(t) -> TraceEstimate
 
+    def estimate(t):
+        # The factored methods form A + t*B only in the buffer LAPACK overwrites.
+        if method == "cholesky":
+            return trace_inv_exact_cholesky(A, B, t)
+        if method == "hutchinson":
+            return trace_inv_hutchinson(A, n_v, seed, B, t)
+        return estimate_trace_inv(shifted_operand(A, B, t), method=method,
+                                  n_v=n_v, degree=degree, seed=seed)
+
     def backend(ts):
         ts = [float(t) for t in ts]
         for t in ts:
             if t not in estimates:
-                estimates[t] = estimate_trace_inv(shifted_operand(A, B, t), method=method,
-                                                  n_v=n_v, degree=degree, seed=seed)
+                estimates[t] = estimate(t)
         return [estimates[t] for t in ts]
     return backend

@@ -22,6 +22,7 @@ import scipy.linalg.lapack
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-12
+_SYMMETRY_TILE = 64  # the symmetry check compares tile pairs, never the whole transpose
 
 # Pivots below this fraction of the largest diagonal entry are treated as
 # numerically indefinite rather than as a valid factorization.
@@ -73,6 +74,23 @@ def lapack_threads(n):
                 set_count(count)
 
 
+def _is_symmetric(a, tol):
+    """max |a - a^T| <= tol for a finite square array, one tile pair at a time.
+
+    |a_ij - a_ji| is the same number on both sides of the diagonal, so the
+    pairs of tiles on or above it see every entry of a - a^T.
+    """
+    n, b = a.shape[0], _SYMMETRY_TILE
+    work = np.empty((b, b))
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            diff = work[:min(b, n - i), :min(b, n - j)]
+            np.subtract(a[i:i + b, j:j + b], a[j:j + b, i:i + b].T, out=diff)
+            if np.abs(diff, out=diff).max() > tol:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class SpdMatrix:
     """Symmetric positive-definite operand.
@@ -88,12 +106,20 @@ class SpdMatrix:
 
     @classmethod
     def from_dense(cls, array):
-        """Operand stored as a C-ordered array: an input in another layout is copied once."""
+        """Operand stored as a C-ordered float array, checked finite and symmetric.
+
+        The operand keeps ``array`` itself when it is already a C-ordered
+        float64 array (the caller's later writes show through), and one
+        copy otherwise. The checks allocate one small tile, nothing n x n.
+        """
         array = np.ascontiguousarray(array, dtype=float)
         if array.ndim != 2 or array.shape[0] != array.shape[1]:
             raise InvalidShape(f"expected a square matrix, got shape {array.shape}")
-        scale = np.max(np.abs(array)) or 1.0
-        if np.max(np.abs(array - array.T)) > SYMMETRY_RTOL * scale:
+        high, low = array.max(), array.min()  # NaN propagates through both
+        if not (np.isfinite(high) and np.isfinite(low)):
+            raise InvalidShape("matrix has non-finite entries")
+        scale = max(high, -low) or 1.0
+        if not _is_symmetric(array, SYMMETRY_RTOL * scale):
             raise InvalidShape("matrix is not symmetric within tolerance")
         return cls(n=array.shape[0], kind="dense", data=array)
 
@@ -130,24 +156,46 @@ class SpdMatrix:
         return 1.0 if self.is_identity else float(np.max(np.abs(np.diag(self.data))))
 
 
-def cholesky(A: SpdMatrix) -> np.ndarray:
-    """C-ordered lower-triangular L with A = L L^T, raising NotPositiveDefinite on failure.
+def shifted_array(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
+    """A + t*B (A alone when B is None) as a fresh F-ordered array the caller owns.
 
-    dpotrf factors the upper triangle of A^T, i.e. A's lower triangle, on
-    an F-ordered copy that is a plain memcpy of A. L^T is the LAPACK upper
-    factor, F-ordered, so LAPACK takes it without a copy. L is a fresh
-    array that the caller owns: A's storage is never overwritten.
+    Its memory is A + t*B in C order, so as a matrix it is the transpose,
+    and its upper triangle is the lower triangle of A + t*B. For B = I it
+    is a memcpy of A plus t on the diagonal; for a dense B it is t*B, then
+    A added in place, which rounds exactly as A + t*B does.
     """
-    if A.is_identity:
+    if B is not None and A.n != B.n:
+        raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
+    if B is None or B.is_identity:
+        shifted = A.to_dense().T.copy(order="F")
+        if B is not None:
+            shifted[np.diag_indices(A.n)] += float(t)
+        return shifted
+    shifted = B.to_dense().T.copy(order="F")
+    shifted *= float(t)
+    shifted += A.to_dense().T
+    return shifted
+
+
+def cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
+    """C-ordered lower-triangular L with A + t*B = L L^T (B = None: A = L L^T).
+
+    Raises NotPositiveDefinite on failure. The only n x n array the call
+    allocates is the ``shifted_array`` buffer, which dpotrf overwrites with
+    L^T: it factors that buffer's upper triangle, i.e. the lower triangle
+    of A + t*B. L is the transposed view of that buffer and the caller owns
+    it; A and B are never written.
+    """
+    if B is None and A.is_identity:
         return np.eye(A.n)
-    dense = A.to_dense()
+    shifted = shifted_array(A, B, t)
+    max_diag = float(np.max(np.diag(shifted)))
     with lapack_threads(A.n):
-        U, info = scipy.linalg.lapack.dpotrf(dense.T.copy(order="F"), lower=0, overwrite_a=1)
+        U, info = scipy.linalg.lapack.dpotrf(shifted, lower=0, overwrite_a=1)
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factorization failed (dpotrf info={info})")
     L = U.T
     pivots = np.diag(L) ** 2
-    max_diag = float(np.max(np.diag(dense)))
     if np.min(pivots) < PIVOT_RTOL * max_diag:
         raise NotPositiveDefinite(
             f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * max_diag:.3e}; "
@@ -196,22 +244,24 @@ def random_points(count, seed) -> PointCloud:
 
 
 def build_kernel(points: PointCloud, kernel_fn) -> SpdMatrix:
-    """Dense kernel matrix K_ij = kernel_fn(d_ij) over pairwise Euclidean distances."""
+    """Dense kernel matrix K_ij = kernel_fn(d_ij) over pairwise Euclidean distances.
+
+    ``kernel_fn`` receives the n x n distance array, which nothing else
+    holds, so it may overwrite it and return it as K.
+    """
     import scipy.spatial.distance  # ~85 ms to load, so only kernel builds pay it
-    dists = scipy.spatial.distance.squareform(
-        scipy.spatial.distance.pdist(points.coords, metric="euclidean")
-    )
+    dists = scipy.spatial.distance.cdist(points.coords, points.coords)
     K = kernel_fn(dists)
     np.fill_diagonal(K, kernel_fn(np.zeros(points.n)))
     return SpdMatrix.from_dense(K)
 
 
 def build_exponential_kernel(points: PointCloud, rho) -> SpdMatrix:
-    """Isotropic exponential-decay correlation matrix exp(-|x_i - x_j| / rho)."""
+    """Isotropic exponential-decay correlation matrix exp(-|x_i - x_j| / rho), built in place."""
     rho = float(rho)
     if rho <= 0.0:
         raise InvalidShape("rho must be positive")
-    return build_kernel(points, lambda d: np.exp(-d / rho))
+    return build_kernel(points, lambda d: np.exp(np.divide(d, -rho, out=d), out=d))
 
 
 @dataclass(frozen=True)

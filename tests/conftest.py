@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +18,17 @@ def spd_from_eigenvalues(rng, eigenvalues):
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     Q = random_orthogonal(rng, eigenvalues.size)
     return SpdMatrix.from_dense((Q * eigenvalues) @ Q.T), Q
+
+
+def traced_extra_bytes(fn, *args):
+    """Traced peak of fn(*args) beyond what is still allocated when it returns."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841, held so that ``end`` counts it
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - end
 
 
 @pytest.fixture
@@ -43,9 +56,9 @@ def cholesky_calls(monkeypatch):
     calls = []
     cholesky = traceinv.estimators.cholesky
 
-    def counting(M):
-        calls.append(M.n)
-        return cholesky(M)
+    def counting(A, B=None, t=0.0):
+        calls.append(A.n)
+        return cholesky(A, B, t)
 
     monkeypatch.setattr(traceinv.estimators, "cholesky", counting)
     return calls

@@ -22,7 +22,7 @@ from traceinv import (
     trace_inv_slq,
 )
 
-from conftest import spd_from_eigenvalues
+from conftest import spd_from_eigenvalues, traced_extra_bytes
 
 
 class TestShiftedOperand:
@@ -39,7 +39,16 @@ class TestShiftedOperand:
         A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 5))
         B, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 5))
         M = shifted_operand(A, B, 0.5)
-        np.testing.assert_allclose(M.to_dense(), A.to_dense() + 0.5 * B.to_dense())
+        assert M.data.flags.c_contiguous
+        assert M.data.tobytes() == (A.to_dense() + 0.5 * B.to_dense()).tobytes()
+
+    def test_identity_shift_adds_to_diagonal_only(self, rng):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 5))
+        M = shifted_operand(A, SpdMatrix.identity(5), 0.3)
+        expected = A.data.copy()
+        expected[np.diag_indices(5)] += 0.3
+        assert M.data.flags.c_contiguous and not np.shares_memory(M.data, A.data)
+        assert M.data.tobytes() == expected.tobytes()
 
     def test_order_mismatch(self):
         with pytest.raises(Exception):
@@ -331,15 +340,26 @@ def test_single_probe_has_undefined_std_error(estimator, options):
 
 
 def test_sweep_matches_per_shift_calls(rng):
-    # the seed names one probe set, used at every shift
+    # the seed names one probe set, used at every shift; the factored methods
+    # form A + t*B only in the buffer they factor, and still match bit for bit
     A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
-    B, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
     ts = [0.0, 0.5, 3.0]
-    for method in ("cholesky", "hutchinson", "slq"):
-        sweep = prepare_trace(A, B, method=method, n_v=5, degree=4, seed=11)(ts)
-        for k, t in enumerate(ts):
-            assert sweep[k] == estimate_trace_inv(shifted_operand(A, B, t), method=method,
-                                                  n_v=5, degree=4, seed=11)
+    for B in (spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))[0], SpdMatrix.identity(8)):
+        for method in ("cholesky", "hutchinson", "slq"):
+            sweep = prepare_trace(A, B, method=method, n_v=5, degree=4, seed=11)(ts)
+            for k, t in enumerate(ts):
+                ref = estimate_trace_inv(shifted_operand(A, B, t), method=method,
+                                         n_v=5, degree=4, seed=11)
+                assert sweep[k] == ref
+                assert (sweep[k].value.hex(), sweep[k].std_error.hex()) == \
+                    (ref.value.hex(), ref.std_error.hex())
+
+
+def test_exact_trace_holds_one_square_array(rng):
+    n = 600
+    A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, n))
+    backend = prepare_trace(A, SpdMatrix.identity(n))
+    assert traced_extra_bytes(backend, [0.5]) <= 1.05 * 8 * n * n
 
 
 class TestDistinctShifts:

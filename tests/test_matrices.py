@@ -21,7 +21,9 @@ from traceinv import (
 from traceinv import matrices
 from traceinv.matrices import apply_householder
 
-from conftest import spd_from_eigenvalues
+from conftest import spd_from_eigenvalues, traced_extra_bytes
+
+FOOTPRINT_ORDER = 600  # n x n arrays of 2.9 MB: large beside every small allocation
 
 
 class TestSpdMatrix:
@@ -32,6 +34,41 @@ class TestSpdMatrix:
     def test_rejects_rectangular(self):
         with pytest.raises(InvalidShape):
             SpdMatrix.from_dense(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("index,value", [((0, 1), np.nan), ((1, 0), np.nan),
+                                             ((2, 2), np.inf), ((0, 0), -np.inf)])
+    def test_rejects_non_finite(self, index, value):
+        a = np.eye(3)
+        a[index] = value
+        with pytest.raises(InvalidShape, match="non-finite"):
+            SpdMatrix.from_dense(a)
+
+    @pytest.mark.parametrize("n", [1, matrices._SYMMETRY_TILE - 1, matrices._SYMMETRY_TILE + 1,
+                                   2 * matrices._SYMMETRY_TILE + 3])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    @pytest.mark.parametrize("corner", ["diagonal tile", "off-diagonal tile"])
+    def test_tiled_symmetry_check_matches_dense_formula(self, rng, n, factor, corner):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        a = a + a.T
+        np.fill_diagonal(a, 4.0)  # the scale, which the perturbation leaves alone
+        if n > 1:
+            # the perturbed entry in the last, partial tile row; its mirror in
+            # the last tile column or in the first
+            i, j = (n - 1, n - 2) if corner == "diagonal tile" else (n - 1, 0)
+            a[i, j] += factor * matrices.SYMMETRY_RTOL * 4.0
+        dense = np.max(np.abs(a - a.T)) <= matrices.SYMMETRY_RTOL * np.max(np.abs(a))
+        assert dense == (n == 1 or factor < 1.0)
+        if dense:
+            assert SpdMatrix.from_dense(a).data is a
+        else:
+            with pytest.raises(InvalidShape, match="not symmetric"):
+                SpdMatrix.from_dense(a)
+
+    def test_check_allocates_no_square_array(self, rng):
+        n = FOOTPRINT_ORDER
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        a = a + a.T
+        assert traced_extra_bytes(SpdMatrix.from_dense, a) <= 0.05 * 8 * n * n
 
     def test_identity_has_no_entries(self):
         I = SpdMatrix.identity(4)
@@ -118,11 +155,36 @@ class TestCholesky:
 
     def test_source_left_untouched(self, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
-        before = A.data.copy()
+        B, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
+        before, before_b = A.data.copy(), B.data.copy()
         cholesky(A)
+        cholesky(A, B, 0.5)
+        cholesky(A, SpdMatrix.identity(40), 0.5)
         trace_inv_exact_cholesky(A)
+        trace_inv_exact_cholesky(A, B, 0.5)
         compute_tau_context(A, method="cholesky")
+        compute_tau_context(A, B, method="cholesky")
         np.testing.assert_array_equal(A.data, before)
+        np.testing.assert_array_equal(B.data, before_b)
+
+    @pytest.mark.parametrize("dense_b", [False, True])
+    def test_shift_factored_in_one_buffer(self, monkeypatch, rng, dense_b):
+        real, seen = scipy.linalg.lapack.dpotrf, []
+
+        def spy(a, *args, **kwargs):
+            factor, info = real(a, *args, **kwargs)
+            seen.append((a.flags.f_contiguous, np.shares_memory(factor, a)))
+            return factor, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
+        B = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))[0] if dense_b \
+            else SpdMatrix.identity(30)
+        L = cholesky(A, B, 0.7)
+        assert seen == [(True, True)]
+        M = A.data + 0.7 * (B.data if dense_b else np.eye(30))
+        assert list(map(float.hex, L.ravel())) == list(
+            map(float.hex, cholesky(SpdMatrix.from_dense(M)).ravel()))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 10_000))
@@ -232,6 +294,22 @@ class TestKernels:
         K = build_exponential_kernel(grid_points(7), rho=0.2).to_dense()
         np.testing.assert_array_equal(np.diag(K), np.ones(49))
         assert K.min() > 0.0 and K.max() <= 1.0
+
+    @pytest.mark.parametrize("points", [grid_points(20), random_points(300, seed=1),
+                                        random_points(301, seed=2)], ids=["grid", "r1", "r2"])
+    @pytest.mark.parametrize("rho", [0.1, 0.37])
+    def test_matches_pairwise_distance_formula_bitwise(self, points, rho):
+        import scipy.spatial.distance as dist
+
+        reference = np.exp(-dist.squareform(dist.pdist(points.coords)) / rho)
+        np.fill_diagonal(reference, 1.0)
+        K = build_exponential_kernel(points, rho)
+        assert K.data.dtype == reference.dtype and K.data.tobytes() == reference.tobytes()
+
+    def test_build_holds_one_square_array(self):
+        n = FOOTPRINT_ORDER
+        points = random_points(n, seed=4)
+        assert traced_extra_bytes(build_exponential_kernel, points, 0.1) <= 1.2 * 8 * n * n
 
     def test_custom_kernel_handle(self):
         K = build_kernel(grid_points(3), lambda d: np.exp(-(d**2)))
