@@ -12,14 +12,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "estimators": (
-        "LanczosTriDiag",
         "TraceEstimate",
         "estimate_trace_inv",
-        "lanczos",
         "prepare_trace",
         "shifted_operand",
         "trace_inv_exact_cholesky",
-        "trace_inv_exact_eigen",
         "trace_inv_hutchinson",
         "trace_inv_slq",
     ),
@@ -62,7 +59,6 @@ _EXPORTS = {
         "build_design_matrix",
         "build_exponential_kernel",
         "build_kernel",
-        "cholesky",
         "grid_points",
         "random_points",
     ),

@@ -5,7 +5,7 @@ check-inequalities. Every run writes its artifacts plus a manifest.json
 (the full configuration, seeds, and package version) into the output
 directory, so outputs can be regenerated bit-exactly. Heavy numerical
 modules are imported only after --threads has been applied to the BLAS
-environment.
+environment. Refused input prints one line and exits 2; 1 is a failed check.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+from .exceptions import TraceInvError  # loads no numpy
 
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS")
@@ -132,11 +134,9 @@ def _out_dir(args):
 
 def cmd_trace(args, argv):
     from .estimators import prepare_trace
-    from .matrices import SpdMatrix
 
     M = _load_operand(args)
-    identity = SpdMatrix.identity(M.n)
-    sweeps = [prepare_trace(M, identity, method=method, n_v=args.nv, degree=args.degree,
+    sweeps = [prepare_trace(M, method=method, n_v=args.nv, degree=args.degree,
                             seed=args.seed)(args.t)
               for method in args.method]
     rows = [(float(t), sweep[k]) for k, t in enumerate(args.t) for sweep in sweeps]
@@ -242,7 +242,6 @@ def cmd_gcv(args, argv):
         make_gcv_problem,
         relative_log_theta_error,
     )
-    from .matrices import SpdMatrix
 
     problem = make_gcv_problem(n=args.n, m=args.m, seed=args.seed, s=args.shift,
                                sigma=args.sigma)
@@ -271,7 +270,7 @@ def cmd_gcv(args, argv):
         thetas = gcv_theta_grid(problem, count=args.curve_points)
         ts = problem.n * thetas - problem.s  # the trace argument gcv_value uses
         taus = [est.value / problem.m for est in
-                prepare_trace(problem.shifted_gram, SpdMatrix.identity(problem.m))(ts)]
+                prepare_trace(problem.shifted_gram)(ts)]
         rows_csv = [[float(th), gcv_value(problem, th, lambda _t, tau=tau: tau)]
                     for th, tau in zip(thetas, taus)]
         _write_csv(out / "gcv_curve.csv", ["theta", "v_exact"], rows_csv)
@@ -396,7 +395,11 @@ def main(argv=None):
         # imported lazily inside the command functions for this reason.
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(args.threads)
-    return args.func(args, argv)
+    try:
+        return args.func(args, argv)
+    except TraceInvError as exc:  # refused input: one line and argparse's usage code
+        print(f"traceinv: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

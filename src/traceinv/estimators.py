@@ -46,7 +46,7 @@ class TraceEstimate:
         An undefined standard error (nan, from a single sample) is written
         as null.
         """
-        rec = {
+        return {
             "t": t,
             "value": self.value,
             "method": self.method,
@@ -54,7 +54,6 @@ class TraceEstimate:
             "std_error": None if np.isnan(self.std_error) else self.std_error,
             "seed": self.seed,
         }
-        return rec
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,12 @@ class LanczosTriDiag:
 
 
 def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
-    """A + t*B as a dense operand that owns its one fresh array.
+    """A + t*B (B = None means B = I) as a dense operand that owns its one fresh array.
 
     The array is the C-ordered transpose of ``shifted_array``'s buffer, so
     A + t*B is formed in one place. A and B were checked for symmetry when
-    they were built, so their sum is not scanned again. The estimators
-    factor A + t*B without this operand (see ``prepare_trace``).
+    they were built, so their sum is not scanned again. Only
+    ``trace_inv_slq`` at t != 0 uses it; the factored estimators do not.
     """
     return SpdMatrix(A.n, "dense", shifted_array(A, B, t).T)
 
@@ -85,7 +84,7 @@ def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
 def trace_inv_exact_cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> TraceEstimate:
     """trace(M^-1) as the squared Frobenius norm of L^-1 from M = A + t*B = L L^T.
 
-    B = None means M = A. LAPACK dtrtri inverts the F-ordered upper factor
+    B = None means B = I. LAPACK dtrtri inverts the F-ordered upper factor
     L^T in place on the buffer ``cholesky`` factored, the one n x n array of
     the call, so A and B are left untouched. The inverse is squared in
     place and summed by numpy's pairwise reduction, which is
@@ -111,8 +110,6 @@ def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):
     closure raises NotPositiveDefinite for t at or below -min(lam/mu). Its
     ``trace_b_inv`` attribute is trace(B^-1) = sum_i |v_i|^2, since V V^T = B^-1.
     """
-    if B is not None and B.n != A.n:
-        raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
     if B is None or B.is_identity:
         gamma = scipy.linalg.eigh(A.to_dense(), eigvals_only=True, check_finite=False)
         weights = np.ones_like(gamma)
@@ -139,14 +136,18 @@ def _sample_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _at_least_one(name, value):
+    value = int(value)
+    if value < 1:
+        raise InvalidShape(f"{name} must be >= 1")
+    return value
+
+
 def _probe_count(n_v, seed):
     """n_v as an int, checked together with the seed before any work is done."""
     if seed is None:
         raise InvalidShape("a stochastic estimate needs an integer seed; it names the probe set")
-    n_v = int(n_v)
-    if n_v < 1:
-        raise InvalidShape("n_v must be >= 1")
-    return n_v
+    return _at_least_one("n_v", n_v)
 
 
 def _probe_blocks(n, n_v, seed):
@@ -168,7 +169,7 @@ def trace_inv_hutchinson(A: SpdMatrix, n_v, seed, B: SpdMatrix | None = None,
                          t=0.0) -> TraceEstimate:
     """Monte-Carlo trace estimate (1/n_v) * sum_k z_k^T M^-1 z_k of M = A + t*B.
 
-    B = None means M = A. Probes z_k are Rademacher. One Cholesky
+    B = None means B = I. Probes z_k are Rademacher. One Cholesky
     factorization of M serves every probe, and each probe block takes one
     triangular solve.
     """
@@ -189,9 +190,7 @@ def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
     falls below LANCZOS_BREAKDOWN_RTOL times a cheap norm estimate of M,
     i.e. at an invariant subspace; its later entries are zero.
     """
-    degree = int(degree)
-    if degree < 1:
-        raise InvalidShape("degree must be >= 1")
+    degree = _at_least_one("degree", degree)
     v0 = np.asarray(v0, dtype=float)
     V = v0.reshape(v0.shape[0], -1).T  # one row per recurrence
     norms = np.linalg.norm(V, axis=1)
@@ -227,16 +226,21 @@ def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
     return LanczosTriDiag(alpha=alpha, beta=beta, steps=steps)
 
 
-def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
-    """Stochastic Lanczos quadrature estimate of trace(M^-1).
+def trace_inv_slq(A: SpdMatrix, n_v, degree, seed, B: SpdMatrix | None = None,
+                  t=0.0) -> TraceEstimate:
+    """Stochastic Lanczos quadrature estimate of trace(M^-1) of M = A + t*B.
 
-    Each Rademacher probe is normalized to a unit start vector, and each
-    probe block is one ``lanczos`` call. The Gauss quadrature weights w_j
-    are the squared first components of each probe's tridiagonal
-    eigenvectors, and its estimate is n * sum_j w_j / theta_j. Non-positive
-    quadrature nodes theta_j signal an indefinite operand.
+    B = None means B = I. M is formed by ``shifted_operand`` only when
+    t != 0; at t = 0 the recurrences run on A itself, with no copy. Each
+    Rademacher probe is normalized to a unit start vector, and each probe
+    block is one ``lanczos`` call. The Gauss quadrature weights w_j are the
+    squared first components of each probe's tridiagonal eigenvectors, and
+    its estimate is n * sum_j w_j / theta_j. Non-positive quadrature nodes
+    theta_j signal an indefinite operand.
     """
     n_v = _probe_count(n_v, seed)
+    degree = _at_least_one("degree", degree)
+    M = shifted_operand(A, B, t) if t != 0.0 else A
     samples = []
     for Z in _probe_blocks(M.n, n_v, seed):
         tri = lanczos(M, Z, degree)
@@ -250,50 +254,59 @@ def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
 
 
 def estimate_trace_inv(M: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=0) -> TraceEstimate:
-    """Dispatch a trace(M^-1) estimate by method name."""
-    if method == "cholesky":
-        return trace_inv_exact_cholesky(M)
-    if method == "eigen":
-        return prepare_trace(M, SpdMatrix.identity(M.n), method="eigen")([0.0])[0]
-    if method == "hutchinson":
-        return trace_inv_hutchinson(M, n_v=n_v, seed=seed)
-    if method == "slq":
-        return trace_inv_slq(M, n_v=n_v, degree=degree, seed=seed)
-    raise InvalidShape(f"unknown trace method {method!r}")
+    """One trace(M^-1) estimate by method name: ``prepare_trace`` at the single shift 0."""
+    return prepare_trace(M, None, method, n_v, degree, seed)([0.0])[0]
 
 
-def prepare_trace(A: SpdMatrix, B: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=0):
+def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n_v=30,
+                  degree=30, seed=0):
     """Back-end ts -> [estimate of trace((A + t*B)^-1) for t in ts], the only loop over t.
 
-    ``method="eigen"`` does its one eigensolve here (its back-end carries
-    that solve's ``trace_b_inv``), so each later shift costs O(n); the other
-    methods work per distinct shift, kept across calls. The seed names one
-    probe set, drawn at every shift, so each entry equals an
-    ``estimate_trace_inv`` call with that seed, a repeated shift needs no
-    second estimate, and a stochastic sweep decreases in t.
+    B = None means B = I. This is the one reader of a method name: the
+    method, and the seed, n_v and degree it uses, are checked before any
+    work. ``method="eigen"`` does its one eigensolve here, so each later
+    shift costs O(n); every method computes each distinct shift once, kept
+    across calls. The seed names one probe set, drawn at every shift, so a
+    repeated shift needs no second estimate and a stochastic sweep
+    decreases in t. The back-end's ``trace_b_inv``, taken here, is
+    trace(B^-1): n for B = I, from the pencil's eigenvectors for eigen,
+    and otherwise the same estimator and probe set applied to B.
     """
+    if B is not None and B.n != A.n:
+        raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
+    # Estimators are looked up at call time, so wrappers put on the module see each call.
     if method == "eigen":
         evaluate = trace_inv_exact_eigen(A, B)
 
-        def backend(ts):
-            return [TraceEstimate(value=evaluate(t), method="exact-eigen") for t in ts]
-        backend.trace_b_inv = evaluate.trace_b_inv
-        return backend
-    estimates = {}  # float(t) -> TraceEstimate
+        def estimate(M, B, t):
+            return TraceEstimate(value=evaluate(t), method="exact-eigen")
+    elif method == "cholesky":
+        def estimate(M, B, t):
+            return trace_inv_exact_cholesky(M, B, t)
+    elif method == "hutchinson":
+        n_v = _probe_count(n_v, seed)
 
-    def estimate(t):
-        # The factored methods form A + t*B only in the buffer LAPACK overwrites.
-        if method == "cholesky":
-            return trace_inv_exact_cholesky(A, B, t)
-        if method == "hutchinson":
-            return trace_inv_hutchinson(A, n_v, seed, B, t)
-        return estimate_trace_inv(shifted_operand(A, B, t), method=method,
-                                  n_v=n_v, degree=degree, seed=seed)
+        def estimate(M, B, t):
+            return trace_inv_hutchinson(M, n_v, seed, B, t)
+    elif method == "slq":
+        n_v, degree = _probe_count(n_v, seed), _at_least_one("degree", degree)
+
+        def estimate(M, B, t):
+            return trace_inv_slq(M, n_v, degree, seed, B, t)
+    else:
+        raise InvalidShape(f"unknown trace method {method!r}")
+    estimates = {}  # float(t) -> TraceEstimate
 
     def backend(ts):
         ts = [float(t) for t in ts]
         for t in ts:
             if t not in estimates:
-                estimates[t] = estimate(t)
+                estimates[t] = estimate(A, B, t)
         return [estimates[t] for t in ts]
+    if B is None or B.is_identity:
+        backend.trace_b_inv = float(A.n)
+    elif method == "eigen":
+        backend.trace_b_inv = evaluate.trace_b_inv
+    else:
+        backend.trace_b_inv = estimate(B, None, 0.0).value
     return backend

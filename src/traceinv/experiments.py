@@ -334,9 +334,8 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
                            f" (min eigenvalue {lam_min:.3e}); it must exceed"
                            f" {-lam_min / problem.n:.3e}")
     A = problem.shifted_gram
-    identity = SpdMatrix.identity(problem.m)
     start = time.perf_counter()
-    backend = prepare_trace(A, identity, method=method, n_v=n_v, degree=degree, seed=trace_seed)
+    backend = prepare_trace(A, None, method=method, n_v=n_v, degree=degree, seed=trace_seed)
     n_tr, t_tr = 0, time.perf_counter() - start
 
     def backend_taus(ts):
@@ -363,7 +362,7 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
         if len(node_arr) != 2 * p:
             raise InvalidShape(f"rational degree p={p} needs 2p={2 * p} nodes")
         tau0, *taus = backend_taus([0.0, *node_arr])
-        ctx = TauContext(A=A, B=identity, tau0=tau0, trace_b_inv=float(problem.m),
+        ctx = TauContext(A=A, B=None, tau0=tau0, trace_b_inv=float(problem.m),
                          n=problem.m, t_min=-problem.s, backend=backend)
         pts = InterpolantPoints(ts=np.array(node_arr), taus=np.array(taus))
         optimizer_tau = fit_rational(ctx, pts, p, eval_domain=problem.t_range())

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .estimators import estimate_trace_inv, prepare_trace
+from .estimators import prepare_trace
 from .exceptions import (
     InvalidShape,
     NonPositiveResult,
@@ -45,7 +45,7 @@ class TauContext:
     """The pair (A, B), its normalization constants and the back-end behind tau0."""
 
     A: SpdMatrix
-    B: SpdMatrix
+    B: SpdMatrix | None  # None means the identity
     tau0: float
     trace_b_inv: float
     n: int
@@ -63,23 +63,12 @@ def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="choles
                         n_v=30, degree=30, seed=0, t_min=None) -> TauContext:
     """Prepare the trace back-end of (A, B), kept for the nodes, and take tau0 from it.
 
-    B defaults to the identity, where trace(B^-1) = n without any work; the
-    eigen back-end already holds trace(B^-1); otherwise both traces use the
-    probe set ``seed``. t_min is stored only if the caller supplies it.
+    B = None means B = I; trace(B^-1) comes from the back-end. t_min is kept only if given.
     """
-    if B is None:
-        B = SpdMatrix.identity(A.n)
     backend = prepare_trace(A, B, method=method, n_v=n_v, degree=degree, seed=seed)
     (trace_a_inv,) = backend([0.0])
-    if B.is_identity:
-        trace_b_inv = float(B.n)
-    elif method == "eigen":
-        trace_b_inv = backend.trace_b_inv
-    else:
-        trace_b_inv = estimate_trace_inv(B, method=method, n_v=n_v, degree=degree,
-                                         seed=seed).value
-    return TauContext(A=A, B=B, tau0=trace_a_inv.value / trace_b_inv,
-                      trace_b_inv=trace_b_inv, n=A.n, t_min=t_min, backend=backend)
+    return TauContext(A=A, B=B, tau0=trace_a_inv.value / backend.trace_b_inv,
+                      trace_b_inv=backend.trace_b_inv, n=A.n, t_min=t_min, backend=backend)
 
 
 @dataclass(frozen=True)

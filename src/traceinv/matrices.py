@@ -113,8 +113,8 @@ class SpdMatrix:
         copy otherwise. The checks allocate one small tile, nothing n x n.
         """
         array = np.ascontiguousarray(array, dtype=float)
-        if array.ndim != 2 or array.shape[0] != array.shape[1]:
-            raise InvalidShape(f"expected a square matrix, got shape {array.shape}")
+        if array.ndim != 2 or array.shape[0] != array.shape[1] or not array.size:
+            raise InvalidShape(f"expected a non-empty square matrix, got shape {array.shape}")
         high, low = array.max(), array.min()  # NaN propagates through both
         if not (np.isfinite(high) and np.isfinite(low)):
             raise InvalidShape("matrix has non-finite entries")
@@ -125,6 +125,8 @@ class SpdMatrix:
 
     @classmethod
     def identity(cls, n):
+        if int(n) < 1:
+            raise InvalidShape(f"expected a non-empty identity, got order {n}")
         return cls(n=int(n), kind="identity", data=None)
 
     @property
@@ -157,7 +159,7 @@ class SpdMatrix:
 
 
 def shifted_array(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
-    """A + t*B (A alone when B is None) as a fresh F-ordered array the caller owns.
+    """A + t*B (B = None means B = I) as a fresh F-ordered array the caller owns.
 
     Its memory is A + t*B in C order, so as a matrix it is the transpose,
     and its upper triangle is the lower triangle of A + t*B. For B = I it
@@ -168,8 +170,7 @@ def shifted_array(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray
         raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
     if B is None or B.is_identity:
         shifted = A.to_dense().T.copy(order="F")
-        if B is not None:
-            shifted[np.diag_indices(A.n)] += float(t)
+        shifted[np.diag_indices(A.n)] += float(t)
         return shifted
     shifted = B.to_dense().T.copy(order="F")
     shifted *= float(t)
@@ -178,7 +179,7 @@ def shifted_array(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray
 
 
 def cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
-    """C-ordered lower-triangular L with A + t*B = L L^T (B = None: A = L L^T).
+    """C-ordered lower-triangular L with A + t*B = L L^T (B = None means B = I).
 
     Raises NotPositiveDefinite on failure. The only n x n array the call
     allocates is the ``shifted_array`` buffer, which dpotrf overwrites with
@@ -186,8 +187,6 @@ def cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
     of A + t*B. L is the transposed view of that buffer and the caller owns
     it; A and B are never written.
     """
-    if B is None and A.is_identity:
-        return np.eye(A.n)
     shifted = shifted_array(A, B, t)
     max_diag = float(np.max(np.diag(shifted)))
     with lapack_threads(A.n):

@@ -166,6 +166,19 @@ def test_gcv_experiment_method_list(tmp_path, capsys):
         assert interp["error_vs_exact"] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("matrix, message", [([[1.0, np.nan], [np.nan, 1.0]], "non-finite"),
+                                             ([[2.0, 1.0], [0.0, 2.0]], "not symmetric")])
+def test_refused_input_is_one_line_with_status_2(tmp_path, capsys, matrix, message):
+    # status 1 means a failed check; refused input is a usage error, without a traceback
+    path = tmp_path / "m.csv"
+    np.savetxt(path, np.array(matrix), delimiter=",")
+    code = main(["trace", "--matrix", str(path), "--t", "0", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("traceinv: error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_gcv_method_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["gcv-experiment", "--method", "cholesky,eigen", "--out", str(tmp_path)])

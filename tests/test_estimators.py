@@ -11,17 +11,17 @@ from traceinv import (
     InvalidShape,
     NotPositiveDefinite,
     SpdMatrix,
-    cholesky,
     estimate_trace_inv,
-    lanczos,
     prepare_trace,
     shifted_operand,
     trace_inv_exact_cholesky,
-    trace_inv_exact_eigen,
     trace_inv_hutchinson,
     trace_inv_slq,
 )
+from traceinv.estimators import lanczos, trace_inv_exact_eigen
+from traceinv.matrices import cholesky
 
+import traceinv.estimators
 from conftest import spd_from_eigenvalues, traced_extra_bytes
 
 
@@ -353,6 +353,36 @@ def test_sweep_matches_per_shift_calls(rng):
                 assert sweep[k] == ref
                 assert (sweep[k].value.hex(), sweep[k].std_error.hex()) == \
                     (ref.value.hex(), ref.std_error.hex())
+
+
+@pytest.mark.parametrize("estimator, args", [(trace_inv_exact_cholesky, ()),
+                                             (trace_inv_hutchinson, (4, 0)),
+                                             (trace_inv_slq, (4, 3, 0))])
+def test_no_b_means_identity(estimator, args):
+    # B = None is B = I at every shift; the shift is not dropped
+    A = SpdMatrix.from_dense(np.diag([1.0, 2.0, 4.0]))
+    default = estimator(A, *args, t=1.0)
+    assert default == estimator(A, *args, B=SpdMatrix.identity(3), t=1.0)
+    assert default.value != estimator(A, *args).value
+    if estimator is trace_inv_exact_cholesky:
+        assert default.value == pytest.approx(1 / 2 + 1 / 3 + 1 / 5, rel=1e-15)
+
+
+def test_estimators_are_looked_up_at_call_time(rng, monkeypatch):
+    # a tracer wraps the module's attributes, and reads the order from args[0]
+    names = ("trace_inv_exact_cholesky", "trace_inv_hutchinson", "trace_inv_slq")
+    calls = []
+    for name in names:
+        def recording(*args, name=name, original=getattr(traceinv.estimators, name), **kwargs):
+            calls.append((name, args[0].n))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(traceinv.estimators, name, recording)
+    A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 6))
+    B, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 6))
+    for method in ("cholesky", "hutchinson", "slq"):
+        prepare_trace(A, B, method, n_v=2, degree=3)([0.0, 1.0])  # trace(B^-1), then two shifts
+        estimate_trace_inv(A, method, n_v=2, degree=3)
+    assert calls == [(name, 6) for name in names for _ in range(4)]
 
 
 def test_exact_trace_holds_one_square_array(rng):

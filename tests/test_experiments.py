@@ -395,9 +395,11 @@ class TestGcvExperiment:
         assert GCV_NODE_SETS[2] == (1e-3, 1e-2, 1e-1, 1.0)
 
 
-@pytest.mark.parametrize("case", ["hutchinson", "slq", "prepare_trace", "gcv_experiment"])
+@pytest.mark.parametrize("case", ["hutchinson", "slq", "prepare_trace", "gcv_experiment",
+                                  "unknown_method", "no_probes", "zero_degree", "orders"])
 def test_stochastic_estimate_without_seed_refused(case, small_problem, monkeypatch):
-    # a seed names the probe set and None names none: refused before any work
+    # a seed names the probe set and None names none: refused before any work;
+    # prepare_trace refuses it, and every other bad argument, before it returns
     work = []
 
     def recording(name):
@@ -409,18 +411,23 @@ def test_stochastic_estimate_without_seed_refused(case, small_problem, monkeypat
 
         return wrapper
 
-    for name in ("cholesky", "lanczos"):
+    for name in ("shifted_operand", "cholesky", "lanczos"):
         monkeypatch.setattr(traceinv.estimators, name, recording(name))
     M = SpdMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
     runs = {
         "hutchinson": lambda: trace_inv_hutchinson(M, n_v=3, seed=None),
-        "slq": lambda: trace_inv_slq(M, n_v=3, degree=2, seed=None),
-        "prepare_trace": lambda: prepare_trace(M, SpdMatrix.identity(3), "slq",
-                                               seed=None)([0.0, 1.0]),
+        "slq": lambda: trace_inv_slq(M, n_v=3, degree=2, seed=None, t=1.0),
+        "prepare_trace": lambda: prepare_trace(M, SpdMatrix.identity(3), "slq", seed=None),
         "gcv_experiment": lambda: gcv_experiment(small_problem, method="hutchinson",
                                                  trace_seed=None),
+        "unknown_method": lambda: prepare_trace(M, None, "bogus"),
+        "no_probes": lambda: prepare_trace(M, None, "hutchinson", n_v=0),
+        "zero_degree": lambda: prepare_trace(M, None, "slq", degree=0),
+        "orders": lambda: prepare_trace(M, SpdMatrix.identity(4), "eigen"),
     }
-    with pytest.raises(InvalidShape, match="needs an integer seed"):
+    message = {"unknown_method": "unknown trace method", "no_probes": "n_v must be >= 1",
+               "zero_degree": "degree must be >= 1", "orders": "orders differ"}
+    with pytest.raises(TraceInvError, match=message.get(case, "needs an integer seed")):
         runs[case]()
     assert work == []
 

@@ -24,8 +24,8 @@ from traceinv import (
     tau_lower_bound,
     tau_upper_bound,
     trace_inv_exact_cholesky,
-    trace_inv_exact_eigen,
 )
+from traceinv.estimators import trace_inv_exact_eigen
 from traceinv.interpolation import interpolant_to_json
 from traceinv.ortho import eval_ortho_function
 

@@ -12,14 +12,13 @@ from traceinv import (
     build_design_matrix,
     build_exponential_kernel,
     build_kernel,
-    cholesky,
     compute_tau_context,
     grid_points,
     random_points,
     trace_inv_exact_cholesky,
 )
 from traceinv import matrices
-from traceinv.matrices import apply_householder
+from traceinv.matrices import apply_householder, cholesky
 
 from conftest import spd_from_eigenvalues, traced_extra_bytes
 
@@ -34,6 +33,12 @@ class TestSpdMatrix:
     def test_rejects_rectangular(self):
         with pytest.raises(InvalidShape):
             SpdMatrix.from_dense(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("make", [lambda: SpdMatrix.from_dense(np.zeros((0, 0))),
+                                      lambda: SpdMatrix.identity(0)])
+    def test_rejects_empty(self, make):
+        with pytest.raises(InvalidShape, match="non-empty"):
+            make()
 
     @pytest.mark.parametrize("index,value", [((0, 1), np.nan), ((1, 0), np.nan),
                                              ((2, 2), np.inf), ((0, 0), -np.inf)])
