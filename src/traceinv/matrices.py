@@ -2,8 +2,9 @@
 
 Everything downstream (trace estimators, interpolants, the experiment
 drivers) consumes what is defined here: ``SpdMatrix`` for the operands
-A and B, ``cholesky`` for their lower factors, ``PointCloud`` for the
-spatial kernel study and ``DesignMatrix`` for the ridge-regression study.
+A and B, ``cholesky`` for their lower factors, ``invert_upper`` for the
+in-place inverse of a factor, ``PointCloud`` for the spatial kernel
+study and ``DesignMatrix`` for the ridge-regression study.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg.blas
+import scipy.linalg.cython_blas
+import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
 
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
@@ -28,9 +31,13 @@ _SYMMETRY_TILE = 64  # the symmetry check compares tile pairs, never the whole t
 # numerically indefinite rather than as a valid factorization.
 PIVOT_RTOL = 1e-14
 
-# LAPACK calls on operands below this order run on one BLAS thread. On 2
-# cores a second thread made the order-500 Cholesky trace 1.5-3x slower and
-# its timing far less steady; one thread stayed faster up to order 1500.
+# LAPACK calls on operands below this order run on one BLAS thread. With
+# the recursive inverse, exact traces on 2 cores (OpenBLAS 0.3.31, three
+# alternating processes per count, medians): order 500 took 3.8-4.8 ms on
+# one thread and 3.5-3.9 ms on two, at 1.6-2.0x the CPU time; order 1000
+# 21-28 against 18-22 ms at 1.6-1.8x; order 1500 59-82 against 43-52 ms.
+# Below about order 1000 a second thread saves little wall time for nearly
+# twice the CPU, so 1024 stays.
 ONE_THREAD_MAX_ORDER = 1024
 _BLAS_THREADS_LOCK = threading.RLock()
 
@@ -72,6 +79,84 @@ def lapack_threads(n):
         finally:
             for set_count, count in saved:
                 set_count(count)
+
+
+# Diagonal blocks of at most this order are inverted by LAPACK dtrtri
+# itself. Leaves of 32 to 192 timed within 10% of each other at orders
+# 500-2000 (2 cores, OpenBLAS 0.3.31), so the choice is not sensitive.
+TRIANGULAR_LEAF_ORDER = 128
+
+
+def _cython_routine(module, name, *argtypes):
+    """ctypes handle on a routine exported by scipy.linalg.cython_blas or cython_lapack.
+
+    These are scipy's own OpenBLAS routines, the ones ``lapack_threads``
+    switches. Unlike the f2py wrappers they take a leading dimension, so
+    they work on a block of a larger array without copying it.
+    """
+    capsule = module.__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer_of(capsule, name_of(capsule)))
+
+
+_CHAR, _ADDRESS = ctypes.c_char_p, ctypes.c_void_p  # _ADDRESS: a double * into the array
+_INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+# dtrtri(uplo, diag, n, a, lda, info)
+_dtrtri = _cython_routine(scipy.linalg.cython_lapack, "dtrtri",
+                          _CHAR, _CHAR, _INT, _ADDRESS, _INT, _INT)
+# dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
+_dtrmm = _cython_routine(scipy.linalg.cython_blas, "dtrmm",
+                         _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _ADDRESS, _INT,
+                         _ADDRESS, _INT)
+
+
+def invert_upper(U) -> int:
+    """Invert the upper triangle of the square F-ordered float64 array U in place.
+
+    Returns dtrtri's info: 0, or the 1-based index of the first zero
+    diagonal entry. The strict lower triangle is not touched. This is the
+    recursive triangular inverse of Elmroth, Gustavson, Jonsson & Kagstrom
+    (SIAM Review 2004): with U = [[U11, U12], [0, U22]], invert U11 and
+    U22 recursively, then U12 <- -U11^-1 U12 U22^-1 by two in-place dtrmm
+    calls. Blocks of order <= TRIANGULAR_LEAF_ORDER go to dtrtri. Every
+    call addresses its block inside U through U's leading dimension, so
+    nothing is copied or allocated. It matches dtrtri to 1e-13 normwise
+    (3.1e-16 measured at order 600) and takes under half its time at
+    order 500 on one thread.
+    """
+    if (not isinstance(U, np.ndarray) or U.dtype != np.float64 or U.ndim != 2
+            or U.shape[0] != U.shape[1] or not U.flags.f_contiguous or not U.flags.writeable):
+        raise InvalidShape("expected a writeable square F-ordered float64 array")
+    return _invert_diagonal_block(U.ctypes.data, U.shape[0], 0, U.shape[0])
+
+
+def _invert_diagonal_block(base, n, start, order):
+    """``invert_upper`` on the block of rows and columns start..start+order-1.
+
+    U is the n x n F-ordered float64 array at address ``base``. This must
+    not be a closure that calls itself: that is a reference cycle, which
+    would keep U alive until the cycle collector ran.
+    """
+    ld = ctypes.c_int(n)
+    diagonal = base + 8 * start * (n + 1)  # address of U[start, start]
+    if order <= TRIANGULAR_LEAF_ORDER:
+        info = ctypes.c_int(0)
+        _dtrtri(b"U", b"N", ctypes.c_int(order), diagonal, ld, info)
+        return start + info.value if info.value > 0 else info.value
+    half = order // 2
+    info = (_invert_diagonal_block(base, n, start, half)
+            or _invert_diagonal_block(base, n, start + half, order - half))
+    if info == 0:
+        rows, cols = ctypes.c_int(half), ctypes.c_int(order - half)
+        corner = diagonal + 8 * half * n  # U[start, start + half], the top of U12
+        _dtrmm(b"L", b"U", b"N", b"N", rows, cols, ctypes.c_double(-1.0), diagonal, ld,
+               corner, ld)
+        _dtrmm(b"R", b"U", b"N", b"N", rows, cols, ctypes.c_double(1.0),
+               diagonal + 8 * half * (n + 1), ld, corner, ld)
+    return info
 
 
 def _is_symmetric(a, tol):

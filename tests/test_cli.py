@@ -179,6 +179,15 @@ def test_refused_input_is_one_line_with_status_2(tmp_path, capsys, matrix, messa
     assert err.count("\n") == 1
 
 
+def test_non_finite_shift_is_refused_input(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["trace", "--kernel", "4,0.1", "--t", "nan,1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "traceinv: error: shift t=nan is not finite\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_unknown_gcv_method_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["gcv-experiment", "--method", "cholesky,eigen", "--out", str(tmp_path)])

@@ -11,6 +11,7 @@ from traceinv import (
     InvalidShape,
     NotPositiveDefinite,
     SpdMatrix,
+    TraceEstimate,
     estimate_trace_inv,
     prepare_trace,
     shifted_operand,
@@ -383,6 +384,28 @@ def test_estimators_are_looked_up_at_call_time(rng, monkeypatch):
         prepare_trace(A, B, method, n_v=2, degree=3)([0.0, 1.0])  # trace(B^-1), then two shifts
         estimate_trace_inv(A, method, n_v=2, degree=3)
     assert calls == [(name, 6) for name in names for _ in range(4)]
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", ["cholesky", "eigen", "hutchinson", "slq"])
+def test_non_finite_shift_refused_before_any_work(monkeypatch, method, t):
+    work = []
+    for name in ("shifted_operand", "cholesky", "lanczos"):
+        def recording(*args, name=name, original=getattr(traceinv.estimators, name), **kwargs):
+            work.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(traceinv.estimators, name, recording)
+    backend = prepare_trace(SpdMatrix.from_dense(np.diag([1.0, 2.0, 4.0])), None, method,
+                            n_v=2, degree=3, seed=0)
+    with pytest.raises(InvalidShape, match=f"shift t={t} is not finite"):
+        backend([1.0, t])
+    assert work == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_estimate_refused(value):
+    with pytest.raises(InvalidShape, match="not finite"):
+        TraceEstimate(value=value, method="slq")
 
 
 def test_exact_trace_holds_one_square_array(rng):

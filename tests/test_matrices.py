@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceinv import (
@@ -146,17 +149,35 @@ class TestCholesky:
         assert list(map(float.hex, L.ravel())) == list(map(float.hex, reference.ravel()))
 
     def test_inverse_takes_factor_without_copy(self, monkeypatch, rng):
-        real, seen = scipy.linalg.lapack.dtrtri, []
+        # every block the inverse writes lies in the F-ordered buffer dpotrf
+        # factored in, addressed through that buffer's leading dimension
+        n, factors, written = 300, [], []
+        real_dpotrf = scipy.linalg.lapack.dpotrf
 
-        def spy(c, *args, **kwargs):
-            inverse, info = real(c, *args, **kwargs)
-            seen.append((c.flags.f_contiguous, np.shares_memory(inverse, c)))
-            return inverse, info
+        def dpotrf(a, *args, **kwargs):
+            factor, info = real_dpotrf(a, *args, **kwargs)
+            factors.append(factor)
+            return factor, info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", spy)
-        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
+        def writes(name, block):  # block: index of the written array's address; ld follows
+            real = getattr(matrices, name)
+
+            def spy(*args):
+                written.append((name, args[block], args[block + 1].value))
+                return real(*args)
+            monkeypatch.setattr(matrices, name, spy)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf)
+        writes("_dtrtri", 3)
+        writes("_dtrmm", 9)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, n))
         trace_inv_exact_cholesky(A)
-        assert seen == [(True, True)]
+        (factor,) = factors
+        start = factor.ctypes.data
+        assert factor.flags.f_contiguous and factor.shape == (n, n)
+        assert {name for name, _, _ in written} == {"_dtrtri", "_dtrmm"}
+        assert all(start <= address < start + factor.nbytes and ld == n
+                   for _, address, ld in written)
 
     def test_source_left_untouched(self, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
@@ -221,10 +242,14 @@ class TestLapackThreads:
     def test_small_trace_factors_on_one_thread(self, monkeypatch, rng, counts):
         before, seen = counts(), []
         self.spy(monkeypatch, scipy.linalg.lapack, "dpotrf", counts, seen)
-        self.spy(monkeypatch, scipy.linalg.lapack, "dtrtri", counts, seen)
-        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
+        self.spy(monkeypatch, matrices, "_dtrtri", counts, seen)
+        self.spy(monkeypatch, matrices, "_dtrmm", counts, seen)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 300))
         trace_inv_exact_cholesky(A)
-        assert seen == [("dpotrf", [1] * len(before)), ("dtrtri", [1] * len(before))]
+        one = [1] * len(before)
+        assert seen[0] == ("dpotrf", one)
+        assert {name for name, _ in seen[1:]} == {"_dtrtri", "_dtrmm"}
+        assert all(count == one for _, count in seen)
         assert counts() == before
 
     def test_count_restored_after_failed_factorization(self, counts):
@@ -246,6 +271,61 @@ class TestLapackThreads:
         one_thread = trace_inv_exact_cholesky(A).value
         monkeypatch.setattr(matrices, "ONE_THREAD_MAX_ORDER", 0)
         assert trace_inv_exact_cholesky(A).value == pytest.approx(one_thread, rel=1e-12)
+
+
+def factor_of_order(n, seed):
+    """F-ordered upper Cholesky factor of an order-n SPD matrix with spectrum in [1, 5]."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n))
+    return cholesky(SpdMatrix.from_dense(X @ X.T / n + np.eye(n))).T
+
+
+def dtrtri(U):
+    return scipy.linalg.lapack.dtrtri(U.copy(order="F"), lower=0)
+
+
+class TestInvertUpper:
+    # 128 is the largest leaf, 129 the smallest split, 257 and up recurse twice
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(st.integers(1, 300), st.sampled_from([128, 129, 255, 257, 299])),
+           st.integers(0, 10_000))
+    @example(n=257, seed=0)
+    @example(n=300, seed=1)
+    def test_property_matches_dtrtri(self, n, seed):
+        U = factor_of_order(n, seed)
+        reference, info = dtrtri(U)
+        assert info == 0
+        assert matrices.invert_upper(U) == 0
+        rel = np.linalg.norm(U - reference) / np.linalg.norm(reference)
+        assert rel <= 1e-13
+        assert not np.any(np.tril(U, -1))
+
+    @pytest.mark.parametrize("pivot", [10, 200, 299])
+    def test_zero_pivot_reports_dtrtri_info(self, pivot):
+        U = factor_of_order(300, 7)
+        U[pivot, pivot] = 0.0
+        _, info = dtrtri(U)
+        assert info == pivot + 1
+        assert matrices.invert_upper(U) == info
+
+    def test_keeps_no_reference_to_the_array(self):
+        # the factor must be freed on return, not by the cycle collector: one
+        # exact GCV search inverts over a hundred 2 MB factors
+        U = factor_of_order(300, 3)
+        alive = weakref.ref(U)
+        gc.disable()
+        try:
+            assert matrices.invert_upper(U) == 0
+            del U
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("array", [np.eye(4), np.eye(4, 3, order="F"),
+                                       np.eye(4, dtype=np.float32, order="F")])
+    def test_refuses_array_it_would_have_to_copy(self, array):
+        with pytest.raises(InvalidShape):
+            matrices.invert_upper(array)
 
 
 class TestPointClouds:
