@@ -1,14 +1,14 @@
 """Exact and stochastic estimators of trace(M^-1).
 
-The exact Cholesky route inverts the factor in place with a recursive
-BLAS-3 kernel (``matrices.invert_upper``: halves down to dtrtri leaves of
-order 128, joined by two dtrmm calls) and takes the squared Frobenius
-norm of L^-1 as a single-threaded pairwise sum, so it needs no buffer
-beyond the factor itself. A prepared back-end computes each distinct
-shift once. The stochastic routes (Hutchinson and stochastic Lanczos
-quadrature) draw Rademacher probe vectors from per-sample seed streams
-derived from one master seed, which makes results reproducible and
-independent of the order in which samples are processed.
+The exact Cholesky route inverts the packed factor (n(n+1)/2 entries) in
+place with a recursive BLAS-3 kernel (``matrices.invert_packed``) and
+takes the squared Frobenius norm of L^-1 as a single-threaded pairwise
+sum of that array, so it needs no buffer beyond the factor and sums no
+zeros. A prepared back-end computes each distinct shift once. The
+stochastic routes (Hutchinson and stochastic Lanczos quadrature) draw
+Rademacher probe vectors from per-sample seed streams derived from one
+master seed, which makes results reproducible and independent of the
+order in which samples are processed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
-from .matrices import SpdMatrix, cholesky, invert_upper, lapack_threads, shifted_array
+from .exceptions import InvalidShape, NotPositiveDefinite
+from .matrices import (SpdMatrix, checked_orders, checked_shift, cholesky, forward_solve,
+                       invert_packed, lapack_threads, shifted_array)
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
 PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
@@ -76,36 +77,28 @@ class LanczosTriDiag:
 def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
     """A + t*B (B = None means B = I) as a dense operand that owns its one fresh array.
 
-    The array is the C-ordered transpose of ``shifted_array``'s buffer, so
-    A + t*B is formed in one place. A and B were checked for symmetry when
-    they were built, so their sum is not scanned again. Only
+    The array is ``shifted_array``'s. A and B were checked for symmetry
+    when they were built, so their sum is not scanned again. Only
     ``trace_inv_slq`` at t != 0 uses it; the factored estimators do not.
     """
-    return SpdMatrix(A.n, "dense", shifted_array(A, B, t).T)
+    return SpdMatrix(A.n, "dense", shifted_array(A, B, t))
 
 
 def trace_inv_exact_cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> TraceEstimate:
     """trace(M^-1) as the squared Frobenius norm of L^-1 from M = A + t*B = L L^T.
 
-    B = None means B = I. ``invert_upper`` inverts the F-ordered upper
-    factor L^T in place on the buffer ``cholesky`` factored, the one n x n
-    array of the call, so A and B are left untouched. It recurses on
-    halves down to dtrtri leaves of order 128 and joins them with dtrmm,
-    which made the inverse 2.2x faster than one dtrtri call at order 500
-    and 1.7x at order 1000 (one thread), and 1.2-1.3x at order 2500 (two
-    threads). The trace agrees with the dtrtri route to 1e-14 relative
-    (measured: 1.7e-16 at worst, on the n = 2500 kernel sweep).
-    The inverse is squared in place and summed by numpy's pairwise
-    reduction, which is single-threaded: a BLAS dot product would wake
-    numpy's own thread pool beside scipy's.
+    B = None means B = I. ``cholesky`` returns U = L^T packed in one fresh array of
+    n(n+1)/2 entries (a dense B adds one packed temporary); ``invert_packed`` turns it
+    into each entry of L^-1 once and no zeros, squared in place and summed by numpy's
+    pairwise reduction, on one thread: a BLAS dot would wake numpy's own thread pool.
     """
-    L = cholesky(A, B, t)
+    U = cholesky(A, B, t)
     with lapack_threads(A.n):
-        info = invert_upper(L.T)
+        info = invert_packed(U)
     if info != 0:
         raise NotPositiveDefinite(f"triangular inverse of the factor failed (info={info})")
-    np.square(L, out=L)
-    return TraceEstimate(value=float(L.sum()), method="exact-cholesky")
+    np.square(U, out=U)
+    return TraceEstimate(value=float(U.sum()), method="exact-cholesky")
 
 
 def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):
@@ -178,14 +171,13 @@ def trace_inv_hutchinson(A: SpdMatrix, n_v, seed, B: SpdMatrix | None = None,
     """Monte-Carlo trace estimate (1/n_v) * sum_k z_k^T M^-1 z_k of M = A + t*B.
 
     B = None means B = I. Probes z_k are Rademacher. One Cholesky
-    factorization of M serves every probe, and each probe block takes one
-    triangular solve.
+    factorization of M, packed, serves every probe, and each probe block
+    takes one dtfsm solve on it.
     """
     n_v = _probe_count(n_v, seed)
-    L = cholesky(A, B, t)
-    samples = np.concatenate([  # z^T M^-1 z = |L^-1 z|^2
-        np.sum(scipy.linalg.solve_triangular(L, Z, lower=True, check_finite=False) ** 2, axis=0)
-        for Z in _probe_blocks(A.n, n_v, seed)])
+    U = cholesky(A, B, t)
+    solves = (forward_solve(U, Z) for Z in _probe_blocks(A.n, n_v, seed))  # Y = L^-1 Z
+    samples = np.concatenate([np.sum(np.square(Y, out=Y), axis=0) for Y in solves])
     return _sample_mean(samples, "hutchinson", seed)
 
 
@@ -281,8 +273,7 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
     trace(B^-1): n for B = I, from the pencil's eigenvectors for eigen,
     and otherwise the same estimator and probe set applied to B.
     """
-    if B is not None and B.n != A.n:
-        raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
+    checked_orders(A, B)  # refuses a B of another order before any work
     # Estimators are looked up at call time, so wrappers put on the module see each call.
     if method == "eigen":
         evaluate = trace_inv_exact_eigen(A, B)
@@ -307,10 +298,7 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
     estimates = {}  # float(t) -> TraceEstimate
 
     def backend(ts):
-        ts = [float(t) for t in ts]
-        for t in ts:
-            if not np.isfinite(t):
-                raise InvalidShape(f"shift t={t} is not finite")
+        ts = [checked_shift(t) for t in ts]
         for t in ts:
             if t not in estimates:
                 estimates[t] = estimate(A, B, t)

@@ -2,15 +2,16 @@
 
 Everything downstream (trace estimators, interpolants, the experiment
 drivers) consumes what is defined here: ``SpdMatrix`` for the operands
-A and B, ``cholesky`` for their lower factors, ``invert_upper`` for the
-in-place inverse of a factor, ``PointCloud`` for the spatial kernel
-study and ``DesignMatrix`` for the ridge-regression study.
+A and B, ``cholesky`` for their packed factors, ``invert_packed`` and
+``forward_solve`` for the estimators' work on a factor, ``PointCloud``
+for the spatial kernel study and ``DesignMatrix`` for ridge regression.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from contextlib import contextmanager, nullcontext
@@ -20,7 +21,6 @@ import numpy as np
 import scipy.linalg.blas
 import scipy.linalg.cython_blas
 import scipy.linalg.cython_lapack
-import scipy.linalg.lapack
 
 from .exceptions import DimensionMismatch, InvalidShape, NotPositiveDefinite
 
@@ -104,59 +104,79 @@ def _cython_routine(module, name, *argtypes):
 
 _CHAR, _ADDRESS = ctypes.c_char_p, ctypes.c_void_p  # _ADDRESS: a double * into the array
 _INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-# dtrtri(uplo, diag, n, a, lda, info)
+# dtrtri(uplo, diag, n, a, lda, info), dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda,
+# b, ldb), dtrttf(transr, uplo, n, a, lda, arf, info), dpftrf(transr, uplo, n, a, info) and
+# dtfsm(transr, side, uplo, trans, diag, m, n, alpha, a, b, ldb)
 _dtrtri = _cython_routine(scipy.linalg.cython_lapack, "dtrtri",
                           _CHAR, _CHAR, _INT, _ADDRESS, _INT, _INT)
-# dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
-_dtrmm = _cython_routine(scipy.linalg.cython_blas, "dtrmm",
-                         _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _ADDRESS, _INT,
-                         _ADDRESS, _INT)
+_dtrmm = _cython_routine(scipy.linalg.cython_blas, "dtrmm", _CHAR, _CHAR, _CHAR, _CHAR, _INT,
+                         _INT, _DOUBLE, _ADDRESS, _INT, _ADDRESS, _INT)
+_dtrttf = _cython_routine(scipy.linalg.cython_lapack, "dtrttf",
+                          _CHAR, _CHAR, _INT, _ADDRESS, _INT, _ADDRESS, _INT)
+_dpftrf = _cython_routine(scipy.linalg.cython_lapack, "dpftrf", _CHAR, _CHAR, _INT, _ADDRESS, _INT)
+_dtfsm = _cython_routine(scipy.linalg.cython_lapack, "dtfsm", _CHAR, _CHAR, _CHAR, _CHAR, _CHAR,
+                         _INT, _INT, _DOUBLE, _ADDRESS, _ADDRESS, _INT)
 
 
-def invert_upper(U) -> int:
-    """Invert the upper triangle of the square F-ordered float64 array U in place.
-
-    Returns dtrtri's info: 0, or the 1-based index of the first zero
-    diagonal entry. The strict lower triangle is not touched. This is the
-    recursive triangular inverse of Elmroth, Gustavson, Jonsson & Kagstrom
-    (SIAM Review 2004): with U = [[U11, U12], [0, U22]], invert U11 and
-    U22 recursively, then U12 <- -U11^-1 U12 U22^-1 by two in-place dtrmm
-    calls. Blocks of order <= TRIANGULAR_LEAF_ORDER go to dtrtri. Every
-    call addresses its block inside U through U's leading dimension, so
-    nothing is copied or allocated. It matches dtrtri to 1e-13 normwise
-    (3.1e-16 measured at order 600) and takes under half its time at
-    order 500 on one thread.
-    """
-    if (not isinstance(U, np.ndarray) or U.dtype != np.float64 or U.ndim != 2
-            or U.shape[0] != U.shape[1] or not U.flags.f_contiguous or not U.flags.writeable):
-        raise InvalidShape("expected a writeable square F-ordered float64 array")
-    return _invert_diagonal_block(U.ctypes.data, U.shape[0], 0, U.shape[0])
+def packed_diagonal(n):
+    """Positions of U's diagonal in ``cholesky``'s storage, LAPACK's rectangular full packed
+    storage with TRANSR = 'N', UPLO = 'U': with n1 = n // 2, an F-ordered array of leading
+    dimension 2 n1 + 1 holds U12 at offset 0, U22 at n1 and U11^T (lower) at n1 + 1. UPLO = 'U'
+    is A's lower triangle read F-ordered; the four variants factored within 10% of each other."""
+    n1, i = n // 2, np.arange(n)
+    return np.where(i < n1, n1 + 1 + i * (2 * n1 + 2), n1 + (i - n1) * (2 * n1 + 2))
 
 
-def _invert_diagonal_block(base, n, start, order):
-    """``invert_upper`` on the block of rows and columns start..start+order-1.
+def _packed_order(U, writeable=False) -> int:
+    """n if U is a contiguous float64 array of n(n+1)/2 > 0 entries (writeable if asked)."""
+    n = (math.isqrt(8 * U.size + 1) - 1) // 2 if isinstance(U, np.ndarray) else 0
+    if (not n or n * (n + 1) // 2 != U.size or U.dtype != np.float64 or U.ndim != 1
+            or not U.flags.c_contiguous or writeable and not U.flags.writeable):
+        raise InvalidShape("expected a contiguous float64 packed triangle")
+    return n
 
-    U is the n x n F-ordered float64 array at address ``base``. This must
-    not be a closure that calls itself: that is a reference cycle, which
-    would keep U alive until the cycle collector ran.
-    """
-    ld = ctypes.c_int(n)
-    diagonal = base + 8 * start * (n + 1)  # address of U[start, start]
+
+def invert_packed(U) -> int:
+    """Invert the packed factor U of ``cholesky`` in place, returning dtftri's info: dtftri's
+    steps with ``_invert_triangle`` for dtrtri (U11, U22), then U12 <- -U11^-1 U12 U22^-1."""
+    n = _packed_order(U, writeable=True)
+    n1, ld, base = n // 2, 2 * (n // 2) + 1, U.ctypes.data
+    T1, T2 = base + 8 * (n1 + 1), base + 8 * n1  # U11^T (a lower triangle) and U22
+    for offset, uplo, address, order in ((0, b"L", T1, n1), (n1, b"U", T2, n - n1)):
+        info = _invert_triangle(uplo, address, ld, order)
+        if info:
+            return offset + info
+    rows, cols, ld = ctypes.c_int(n1), ctypes.c_int(n - n1), ctypes.c_int(ld)
+    _dtrmm(b"L", b"L", b"T", b"N", rows, cols, ctypes.c_double(-1.0), T1, ld, base, ld)
+    _dtrmm(b"R", b"U", b"N", b"N", rows, cols, ctypes.c_double(1.0), T2, ld, base, ld)
+    return 0
+
+
+def _invert_triangle(uplo, address, ld, order):
+    """Invert in place the uplo triangle of this order at ``address``, leading dimension ld.
+
+    Returns dtrtri's info. The recursive inverse of Elmroth, Gustavson, Jonsson & Kagstrom
+    (SIAM Review 2004): invert both halves, then the off-diagonal block by two dtrmm calls;
+    blocks of order <= TRIANGULAR_LEAF_ORDER go to dtrtri. (A closure calling itself would
+    be a reference cycle, keeping the array alive until the cycle collector ran.)"""
     if order <= TRIANGULAR_LEAF_ORDER:
         info = ctypes.c_int(0)
-        _dtrtri(b"U", b"N", ctypes.c_int(order), diagonal, ld, info)
-        return start + info.value if info.value > 0 else info.value
+        _dtrtri(uplo, b"N", ctypes.c_int(order), address, ctypes.c_int(ld), info)
+        return info.value
     half = order // 2
-    info = (_invert_diagonal_block(base, n, start, half)
-            or _invert_diagonal_block(base, n, start + half, order - half))
-    if info == 0:
-        rows, cols = ctypes.c_int(half), ctypes.c_int(order - half)
-        corner = diagonal + 8 * half * n  # U[start, start + half], the top of U12
-        _dtrmm(b"L", b"U", b"N", b"N", rows, cols, ctypes.c_double(-1.0), diagonal, ld,
-               corner, ld)
-        _dtrmm(b"R", b"U", b"N", b"N", rows, cols, ctypes.c_double(1.0),
-               diagonal + 8 * half * (n + 1), ld, corner, ld)
-    return info
+    second = address + 8 * half * (ld + 1)  # the second half's first diagonal entry
+    for offset, start, size in ((0, address, half), (half, second, order - half)):
+        info = _invert_triangle(uplo, start, ld, size)
+        if info:
+            return offset + info
+    if uplo == b"U":  # X <- -U11^-1 X U22^-1 for X above the second half
+        X, rows, cols, left, right = address + 8 * half * ld, half, order - half, address, second
+    else:  # X <- -L22^-1 X L11^-1 for X left of the second half
+        X, rows, cols, left, right = address + 8 * half, order - half, half, second, address
+    rows, cols, ld = ctypes.c_int(rows), ctypes.c_int(cols), ctypes.c_int(ld)
+    _dtrmm(b"L", uplo, b"N", b"N", rows, cols, ctypes.c_double(-1.0), left, ld, X, ld)
+    _dtrmm(b"R", uplo, b"N", b"N", rows, cols, ctypes.c_double(1.0), right, ld, X, ld)
+    return 0
 
 
 def _is_symmetric(a, tol):
@@ -243,49 +263,81 @@ class SpdMatrix:
         return 1.0 if self.is_identity else float(np.max(np.abs(np.diag(self.data))))
 
 
-def shifted_array(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
-    """A + t*B (B = None means B = I) as a fresh F-ordered array the caller owns.
-
-    Its memory is A + t*B in C order, so as a matrix it is the transpose,
-    and its upper triangle is the lower triangle of A + t*B. For B = I it
-    is a memcpy of A plus t on the diagonal; for a dense B it is t*B, then
-    A added in place, which rounds exactly as A + t*B does.
-    """
+def checked_orders(A: SpdMatrix, B: SpdMatrix | None):
+    """DimensionMismatch unless B is None (B = I) or of A's order."""
     if B is not None and A.n != B.n:
         raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
+
+
+def checked_shift(t) -> float:
+    """t as a float; InvalidShape if it is not finite."""
+    if not math.isfinite(t := float(t)):
+        raise InvalidShape(f"shift t={t} is not finite")
+    return t
+
+
+def shifted_array(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
+    """A + t*B (B = None means B = I) as a fresh C-ordered array the caller owns.
+
+    For B = I it is a memcpy of A plus t on the diagonal; for a dense B it
+    is t*B, then A added in place, which rounds exactly as A + t*B does.
+    """
+    checked_orders(A, B)
+    t = checked_shift(t)
     if B is None or B.is_identity:
-        shifted = A.to_dense().T.copy(order="F")
-        shifted[np.diag_indices(A.n)] += float(t)
+        shifted = A.to_dense().copy()
+        shifted[np.diag_indices(A.n)] += t
         return shifted
-    shifted = B.to_dense().T.copy(order="F")
-    shifted *= float(t)
-    shifted += A.to_dense().T
+    shifted = t * B.to_dense()
+    shifted += A.to_dense()
     return shifted
 
 
-def cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
-    """C-ordered lower-triangular L with A + t*B = L L^T (B = None means B = I).
+def _packed(S: SpdMatrix) -> np.ndarray:
+    """S's lower triangle, packed: the upper one of S's C-ordered entries read F-ordered."""
+    dense = np.ascontiguousarray(S.to_dense(), dtype=np.float64)  # dtrttf reads its memory
+    packed = np.empty(S.n * (S.n + 1) // 2)
+    _dtrttf(b"N", b"U", ctypes.c_int(S.n), dense.ctypes.data, ctypes.c_int(S.n),
+            packed.ctypes.data, ctypes.c_int(0))
+    return packed
 
-    Raises NotPositiveDefinite on failure. The only n x n array the call
-    allocates is the ``shifted_array`` buffer, which dpotrf overwrites with
-    L^T: it factors that buffer's upper triangle, i.e. the lower triangle
-    of A + t*B. L is the transposed view of that buffer and the caller owns
-    it; A and B are never written.
-    """
-    shifted = shifted_array(A, B, t)
-    max_diag = float(np.max(np.diag(shifted)))
+
+def cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
+    """Packed upper factor U = L^T with A + t*B = U^T U (B = None means B = I).
+
+    U is one fresh array of n(n+1)/2 entries (``packed_diagonal``; Gustavson, Wasniewski,
+    Dongarra & Langou, ACM TOMS 2010). A + t*B is formed there from the lower triangles of
+    A and B (a dense B as t*B, then a packed A added, which rounds as A + t*B does), and
+    dpftrf factors it in place. Raises NotPositiveDefinite; A and B are never written."""
+    checked_orders(A, B)
+    t, diagonal = checked_shift(t), packed_diagonal(A.n)
+    if B is None or B.is_identity:
+        packed = _packed(A)
+        packed[diagonal] += t
+    else:
+        packed = _packed(B)
+        packed *= t
+        packed += _packed(A)
+    max_diag, info = float(np.max(packed[diagonal])), ctypes.c_int(0)
     with lapack_threads(A.n):
-        U, info = scipy.linalg.lapack.dpotrf(shifted, lower=0, overwrite_a=1)
-    if info != 0:
-        raise NotPositiveDefinite(f"Cholesky factorization failed (dpotrf info={info})")
-    L = U.T
-    pivots = np.diag(L) ** 2
-    if np.min(pivots) < PIVOT_RTOL * max_diag:
-        raise NotPositiveDefinite(
-            f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * max_diag:.3e}; "
-            "matrix is numerically indefinite"
-        )
-    return L
+        _dpftrf(b"N", b"U", ctypes.c_int(A.n), packed.ctypes.data, info)
+    if info.value != 0:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (dpftrf info={info.value})")
+    if (pivot := float(np.min(packed[diagonal])) ** 2) < PIVOT_RTOL * max_diag:  # U_ii > 0
+        raise NotPositiveDefinite(f"pivot {pivot:.3e} below tolerance "
+                                  f"{PIVOT_RTOL * max_diag:.3e}; matrix is numerically indefinite")
+    return packed
+
+
+def forward_solve(U, Z) -> np.ndarray:
+    """L^-1 Z = U^-T Z for the packed factor U and a block Z (n, b), by dtfsm on a copy of Z."""
+    Y = np.array(Z, dtype=np.float64, order="F")
+    if Y.ndim != 2 or Y.shape[0] != _packed_order(U):
+        raise InvalidShape(f"expected a block of {_packed_order(U)} rows, got shape {Y.shape}")
+    n, b = map(ctypes.c_int, Y.shape)
+    _dtfsm(b"N", b"L", b"U", b"T", b"N", n, b, ctypes.c_double(1.0), U.ctypes.data,
+           Y.ctypes.data, n)
+    return Y
 
 
 @dataclass(frozen=True)

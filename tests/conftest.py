@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 import traceinv.estimators
 from traceinv import SpdMatrix
@@ -18,6 +20,19 @@ def spd_from_eigenvalues(rng, eigenvalues):
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     Q = random_orthogonal(rng, eigenvalues.size)
     return SpdMatrix.from_dense((Q * eigenvalues) @ Q.T), Q
+
+
+def packed_order(U):
+    """Order n of a packed triangle of n(n+1)/2 entries."""
+    return (math.isqrt(8 * U.size + 1) - 1) // 2
+
+
+def lower_factor(U):
+    """C-ordered lower factor L = U^T of a packed factor from ``cholesky``: one dtfttr call,
+    whose output f2py allocates zero-filled, so the strict lower triangle of U is 0."""
+    upper, info = scipy.linalg.lapack.dtfttr(packed_order(U), U, transr="N", uplo="U")
+    assert info == 0
+    return upper.T
 
 
 def traced_extra_bytes(fn, *args):

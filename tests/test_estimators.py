@@ -23,7 +23,7 @@ from traceinv.estimators import lanczos, trace_inv_exact_eigen
 from traceinv.matrices import cholesky
 
 import traceinv.estimators
-from conftest import spd_from_eigenvalues, traced_extra_bytes
+from conftest import lower_factor, spd_from_eigenvalues, traced_extra_bytes
 
 
 class TestShiftedOperand:
@@ -81,12 +81,12 @@ class TestExactCholesky:
         # the in-place inverse of the factor against an explicitly formed L^-1
         for n in (1, 5, 37, 300):
             M, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 3.0, n))
-            direct = np.sum(np.linalg.inv(cholesky(M)) ** 2)
+            direct = np.sum(np.linalg.inv(lower_factor(cholesky(M))) ** 2)
             assert trace_inv_exact_cholesky(M).value == pytest.approx(direct, rel=1e-12)
 
     def test_sum_of_squares_matches_correctly_rounded_sum(self, rng):
         M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2, 2, 300))
-        L_inv, info = scipy.linalg.lapack.dtrtri(cholesky(M), lower=1)
+        L_inv, info = scipy.linalg.lapack.dtrtri(lower_factor(cholesky(M)), lower=1)
         assert info == 0
         exact = math.fsum((L_inv**2).ravel())
         assert trace_inv_exact_cholesky(M).value == pytest.approx(exact, rel=1e-14)
@@ -271,7 +271,7 @@ class TestProbeBlocks:
 
     def test_hutchinson_matches_per_probe_solves(self, rng):
         M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, 30))
-        L = cholesky(M)
+        L = lower_factor(cholesky(M))
         samples = []
         for k in range(self.N_V):
             y = scipy.linalg.solve_triangular(L, probe(self.SEED, k, 30), lower=True)
@@ -408,11 +408,32 @@ def test_non_finite_estimate_refused(value):
         TraceEstimate(value=value, method="slq")
 
 
-def test_exact_trace_holds_one_square_array(rng):
-    n = 600
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("estimate", [
+    lambda A, t: trace_inv_exact_cholesky(A, None, t),
+    lambda A, t: trace_inv_hutchinson(A, 2, 0, None, t),
+    lambda A, t: trace_inv_slq(A, 2, 3, 0, None, t),
+], ids=["cholesky", "hutchinson", "slq"])
+def test_estimator_refuses_non_finite_shift(estimate, t):
+    with pytest.raises(InvalidShape, match=f"shift t={t} is not finite"):
+        estimate(SpdMatrix.from_dense(np.diag([1.0, 2.0, 4.0])), t)
+
+
+FOOTPRINT_ORDER, FOOTPRINT_PROBES = 600, 8
+
+
+@pytest.mark.parametrize("method,dense_b,squares", [
+    ("cholesky", False, 0.55), ("hutchinson", False, 0.55), ("cholesky", True, 1.05)])
+def test_trace_holds_packed_arrays(rng, method, dense_b, squares):
+    # one packed factor of n(n+1)/2 entries, half an n x n array; a dense B
+    # adds one packed temporary, and Hutchinson one block of probes
+    n = FOOTPRINT_ORDER
     A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, n))
-    backend = prepare_trace(A, SpdMatrix.identity(n))
-    assert traced_extra_bytes(backend, [0.5]) <= 1.05 * 8 * n * n
+    B = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, n))[0] if dense_b \
+        else SpdMatrix.identity(n)
+    backend = prepare_trace(A, B, method, n_v=FOOTPRINT_PROBES, seed=0)
+    probes = 8 * n * FOOTPRINT_PROBES if method == "hutchinson" else 0
+    assert traced_extra_bytes(backend, [0.5]) <= squares * 8 * n * n + probes
 
 
 class TestDistinctShifts:

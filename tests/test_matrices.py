@@ -1,9 +1,11 @@
+import ctypes
 import gc
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from traceinv import (
 from traceinv import matrices
 from traceinv.matrices import apply_householder, cholesky
 
-from conftest import spd_from_eigenvalues, traced_extra_bytes
+from conftest import lower_factor, packed_order, spd_from_eigenvalues, traced_extra_bytes
 
 FOOTPRINT_ORDER = 600  # n x n arrays of 2.9 MB: large beside every small allocation
 
@@ -112,18 +114,18 @@ class TestSpdMatrix:
 
 class TestCholesky:
     def test_identity(self):
-        L = cholesky(SpdMatrix.identity(3))
+        L = lower_factor(cholesky(SpdMatrix.identity(3)))
         np.testing.assert_array_equal(L, np.eye(3))
 
     def test_2x2_closed_form(self):
-        L = cholesky(SpdMatrix.from_dense([[4.0, 2.0], [2.0, 3.0]]))
+        L = lower_factor(cholesky(SpdMatrix.from_dense([[4.0, 2.0], [2.0, 3.0]])))
         np.testing.assert_allclose(L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]],
                                    rtol=0, atol=1e-15)
 
     def test_random_spd_via_eigen_oracle(self, rng):
         # known-spectrum construction is the independent oracle
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 50))
-        L = cholesky(A)
+        L = lower_factor(cholesky(A))
         rel = np.linalg.norm(L @ L.T - A.to_dense()) / np.linalg.norm(A.to_dense())
         assert rel <= 1e-10
 
@@ -143,41 +145,35 @@ class TestCholesky:
         upper = np.triu_indices(n, 1)
         perturbed[upper] *= 1.0 + 0.5 * matrices.SYMMETRY_RTOL * rng.uniform(-1, 1, upper[0].size)
         assert not np.array_equal(perturbed, lower)
-        L = cholesky(SpdMatrix.from_dense(perturbed))
-        reference = cholesky(SpdMatrix.from_dense(lower))
-        assert L.flags.c_contiguous and not np.any(np.triu(L, 1))
+        U = cholesky(SpdMatrix.from_dense(perturbed))
+        assert U.dtype == np.float64 and U.shape == (n * (n + 1) // 2,)
+        L, reference = lower_factor(U), lower_factor(cholesky(SpdMatrix.from_dense(lower)))
         assert list(map(float.hex, L.ravel())) == list(map(float.hex, reference.ravel()))
 
-    def test_inverse_takes_factor_without_copy(self, monkeypatch, rng):
-        # every block the inverse writes lies in the F-ordered buffer dpotrf
-        # factored in, addressed through that buffer's leading dimension
-        n, factors, written = 300, [], []
-        real_dpotrf = scipy.linalg.lapack.dpotrf
+    @pytest.mark.parametrize("n", [299, 300])
+    def test_inverse_takes_factor_without_copy(self, monkeypatch, rng, n):
+        # every block the inverse writes lies in the packed array dpftrf
+        # factored, addressed through the packed leading dimension
+        factors, written = [], []
 
-        def dpotrf(a, *args, **kwargs):
-            factor, info = real_dpotrf(a, *args, **kwargs)
-            factors.append(factor)
-            return factor, info
-
-        def writes(name, block):  # block: index of the written array's address; ld follows
+        def spy(name, record):
             real = getattr(matrices, name)
 
-            def spy(*args):
-                written.append((name, args[block], args[block + 1].value))
+            def wrapped(*args):
+                record(name, args)
                 return real(*args)
-            monkeypatch.setattr(matrices, name, spy)
+            monkeypatch.setattr(matrices, name, wrapped)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf)
-        writes("_dtrtri", 3)
-        writes("_dtrmm", 9)
+        spy("_dpftrf", lambda name, args: factors.append(args[3]))
+        for name in ("_dtrtri", "_dtrmm"):
+            spy(name, lambda name, args: written.append((name, *written_block(name, args))))
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, n))
         trace_inv_exact_cholesky(A)
-        (factor,) = factors
-        start = factor.ctypes.data
-        assert factor.flags.f_contiguous and factor.shape == (n, n)
-        assert {name for name, _, _ in written} == {"_dtrtri", "_dtrmm"}
-        assert all(start <= address < start + factor.nbytes and ld == n
-                   for _, address, ld in written)
+        (start,) = factors
+        end = start + 8 * n * (n + 1) // 2
+        assert {name for name, *_ in written} == {"_dtrtri", "_dtrmm"}
+        assert all(start <= first and last < end and ld == 2 * (n // 2) + 1
+                   for _, first, last, ld in written)
 
     def test_source_left_untouched(self, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
@@ -195,29 +191,27 @@ class TestCholesky:
 
     @pytest.mark.parametrize("dense_b", [False, True])
     def test_shift_factored_in_one_buffer(self, monkeypatch, rng, dense_b):
-        real, seen = scipy.linalg.lapack.dpotrf, []
+        real, seen = matrices._dpftrf, []
 
-        def spy(a, *args, **kwargs):
-            factor, info = real(a, *args, **kwargs)
-            seen.append((a.flags.f_contiguous, np.shares_memory(factor, a)))
-            return factor, info
+        def spy(*args):
+            seen.append(args[3])
+            return real(*args)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
+        monkeypatch.setattr(matrices, "_dpftrf", spy)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
         B = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))[0] if dense_b \
             else SpdMatrix.identity(30)
-        L = cholesky(A, B, 0.7)
-        assert seen == [(True, True)]
+        U = cholesky(A, B, 0.7)
+        assert seen == [U.ctypes.data] and U.shape == (30 * 31 // 2,)
         M = A.data + 0.7 * (B.data if dense_b else np.eye(30))
-        assert list(map(float.hex, L.ravel())) == list(
-            map(float.hex, cholesky(SpdMatrix.from_dense(M)).ravel()))
+        assert list(map(float.hex, U)) == list(map(float.hex, cholesky(SpdMatrix.from_dense(M))))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 10_000))
     def test_factor_reproduces_source(self, n, seed):
         rng = np.random.default_rng(seed)
         A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2, 2, n))
-        L = cholesky(A)
+        L = lower_factor(cholesky(A))
         rel = np.linalg.norm(L @ L.T - A.to_dense()) / np.linalg.norm(A.to_dense())
         assert rel <= 1e-10
 
@@ -241,13 +235,13 @@ class TestLapackThreads:
 
     def test_small_trace_factors_on_one_thread(self, monkeypatch, rng, counts):
         before, seen = counts(), []
-        self.spy(monkeypatch, scipy.linalg.lapack, "dpotrf", counts, seen)
+        self.spy(monkeypatch, matrices, "_dpftrf", counts, seen)
         self.spy(monkeypatch, matrices, "_dtrtri", counts, seen)
         self.spy(monkeypatch, matrices, "_dtrmm", counts, seen)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 300))
         trace_inv_exact_cholesky(A)
         one = [1] * len(before)
-        assert seen[0] == ("dpotrf", one)
+        assert seen[0] == ("_dpftrf", one)
         assert {name for name, _ in seen[1:]} == {"_dtrtri", "_dtrmm"}
         assert all(count == one for _, count in seen)
         assert counts() == before
@@ -261,10 +255,10 @@ class TestLapackThreads:
     def test_large_order_keeps_thread_count(self, monkeypatch, rng, counts):
         monkeypatch.setattr(matrices, "ONE_THREAD_MAX_ORDER", 30)
         before, seen = counts(), []
-        self.spy(monkeypatch, scipy.linalg.lapack, "dpotrf", counts, seen)
+        self.spy(monkeypatch, matrices, "_dpftrf", counts, seen)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
         cholesky(A)
-        assert seen == [("dpotrf", before)]
+        assert seen == [("_dpftrf", before)]
 
     def test_trace_agrees_with_default_thread_count(self, monkeypatch, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 300))
@@ -273,59 +267,140 @@ class TestLapackThreads:
         assert trace_inv_exact_cholesky(A).value == pytest.approx(one_thread, rel=1e-12)
 
 
-def factor_of_order(n, seed):
-    """F-ordered upper Cholesky factor of an order-n SPD matrix with spectrum in [1, 5]."""
+def written_block(name, args):
+    """(first address, last address, leading dimension) of the block that a
+    ``matrices._dtrtri`` or ``matrices._dtrmm`` call with these arguments writes."""
+    if name == "_dtrtri":  # dtrtri(uplo, diag, n, a, lda, info)
+        rows = cols = args[2].value
+        address, ld = args[3], args[4].value
+    else:  # dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
+        rows, cols, address, ld = args[4].value, args[5].value, args[9], args[10].value
+    return address, address + 8 * ((cols - 1) * ld + rows - 1), ld
+
+
+def spd_of_order(n, seed):
+    """Exactly symmetric order-n SPD array with spectrum in [1, 5]."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, n))
-    return cholesky(SpdMatrix.from_dense(X @ X.T / n + np.eye(n))).T
+    M = X @ X.T / n + np.eye(n)
+    return (M + M.T) / 2
 
 
-def dtrtri(U):
-    return scipy.linalg.lapack.dtrtri(U.copy(order="F"), lower=0)
+def factor_of_order(n, seed):
+    """Packed upper Cholesky factor of ``spd_of_order(n, seed)``."""
+    return cholesky(SpdMatrix.from_dense(spd_of_order(n, seed)))
 
 
-class TestInvertUpper:
-    # 128 is the largest leaf, 129 the smallest split, 257 and up recurse twice
+_dtftri = matrices._cython_routine(scipy.linalg.cython_lapack, "dtftri", matrices._CHAR,
+                                   matrices._CHAR, matrices._CHAR, matrices._INT,
+                                   matrices._ADDRESS, matrices._INT)
+
+
+def dtftri(U):
+    """LAPACK's own inverse of a packed factor, on a copy: (inverse, info)."""
+    inverse, info = U.copy(), ctypes.c_int(0)
+    _dtftri(b"N", b"U", b"N", ctypes.c_int(packed_order(U)), inverse.ctypes.data, info)
+    return inverse, info.value
+
+
+# both parities; 128 is the largest leaf and 129 the smallest split, so the
+# halves of 256 are leaves, of 257 one leaf and one split, of 258 two splits
+ORDERS = st.one_of(st.integers(1, 300), st.sampled_from([128, 129, 256, 257, 258, 299, 300]))
+
+
+class TestPackedFactor:
     @settings(max_examples=25, deadline=None)
-    @given(st.one_of(st.integers(1, 300), st.sampled_from([128, 129, 255, 257, 299])),
-           st.integers(0, 10_000))
+    @given(ORDERS, st.integers(0, 10_000))
+    @example(n=1, seed=0)
     @example(n=257, seed=0)
-    @example(n=300, seed=1)
-    def test_property_matches_dtrtri(self, n, seed):
-        U = factor_of_order(n, seed)
-        reference, info = dtrtri(U)
+    def test_property_matches_dpftrf(self, n, seed):
+        M = spd_of_order(n, seed)
+        U = cholesky(SpdMatrix.from_dense(M))
+        packed, info = scipy.linalg.lapack.dtrttf(M)
         assert info == 0
-        assert matrices.invert_upper(U) == 0
-        rel = np.linalg.norm(U - reference) / np.linalg.norm(reference)
-        assert rel <= 1e-13
-        assert not np.any(np.tril(U, -1))
+        reference, info = scipy.linalg.lapack.dpftrf(n, packed)
+        assert info == 0
+        assert np.linalg.norm(U - reference) <= 1e-14 * np.linalg.norm(reference)
+        L = lower_factor(U)
+        assert np.linalg.norm(L @ L.T - M) <= 1e-13 * np.linalg.norm(M)
 
-    @pytest.mark.parametrize("pivot", [10, 200, 299])
-    def test_zero_pivot_reports_dtrtri_info(self, pivot):
-        U = factor_of_order(300, 7)
-        U[pivot, pivot] = 0.0
-        _, info = dtrtri(U)
+    def test_diagonal_positions_match_dtrttf(self):
+        for n in range(1, 65):
+            packed, info = scipy.linalg.lapack.dtrttf(np.diag(np.arange(1.0, n + 1)))
+            assert info == 0 and np.count_nonzero(packed) == n
+            np.testing.assert_array_equal(packed[matrices.packed_diagonal(n)],
+                                          np.arange(1.0, n + 1))
+
+    @pytest.mark.parametrize("n,pivot", [(7, 0), (7, 3), (8, 4), (300, 200)])
+    def test_indefinite_reports_dpftrf_info(self, n, pivot):
+        d = np.ones(n)
+        d[pivot] = -1.0
+        with pytest.raises(NotPositiveDefinite, match=rf"dpftrf info={pivot + 1}\)"):
+            cholesky(SpdMatrix.from_dense(np.diag(d)))
+
+
+class TestInvertPacked:
+    @settings(max_examples=25, deadline=None)
+    @given(ORDERS, st.integers(0, 10_000))
+    @example(n=257, seed=0)
+    @example(n=299, seed=1)
+    def test_property_matches_dtftri(self, n, seed):
+        U = factor_of_order(n, seed)
+        reference, info = dtftri(U)
+        assert info == 0
+        assert matrices.invert_packed(U) == 0
+        assert np.linalg.norm(U - reference) <= 1e-13 * np.linalg.norm(reference)
+
+    # pivots 148 and 149 of order 299 are the last of U11 and the first of U22
+    @pytest.mark.parametrize("n,pivot", [(300, 10), (300, 200), (300, 299), (299, 148),
+                                         (299, 149)])
+    def test_zero_pivot_reports_dtftri_info(self, n, pivot):
+        U = factor_of_order(n, 7)
+        U[matrices.packed_diagonal(n)[pivot]] = 0.0
+        _, info = dtftri(U)
         assert info == pivot + 1
-        assert matrices.invert_upper(U) == info
+        assert matrices.invert_packed(U) == info
 
     def test_keeps_no_reference_to_the_array(self):
         # the factor must be freed on return, not by the cycle collector: one
-        # exact GCV search inverts over a hundred 2 MB factors
+        # exact GCV search inverts over a hundred 1 MB factors
         U = factor_of_order(300, 3)
         alive = weakref.ref(U)
         gc.disable()
         try:
-            assert matrices.invert_upper(U) == 0
+            assert matrices.invert_packed(U) == 0
             del U
             assert alive() is None
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("array", [np.eye(4), np.eye(4, 3, order="F"),
-                                       np.eye(4, dtype=np.float32, order="F")])
+    @pytest.mark.parametrize("array", [np.ones((3, 3)), np.ones(5), np.empty(0),
+                                       np.ones(6, dtype=np.float32), np.ones(12)[::2],
+                                       np.frombuffer(bytes(48))],
+                             ids=["square", "not_triangular", "empty", "float32", "strided",
+                                  "read_only"])
     def test_refuses_array_it_would_have_to_copy(self, array):
         with pytest.raises(InvalidShape):
-            matrices.invert_upper(array)
+            matrices.invert_packed(array)
+
+
+class TestForwardSolve:
+    def test_matches_dense_triangular_solve(self, rng):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 37))
+        U, Z = cholesky(A), rng.standard_normal((37, 5))
+        expected = scipy.linalg.solve_triangular(lower_factor(U), Z, lower=True)
+        np.testing.assert_allclose(matrices.forward_solve(U, Z), expected, rtol=1e-12)
+
+    # dtfsm takes U and Z by address, so a mismatch must be refused before it reads past U
+    @pytest.mark.parametrize("U, Z", [(np.ones(6), np.ones((4, 2))), (np.ones(6), np.ones((2, 2))),
+                                      (np.ones(6, dtype=np.float32), np.ones((3, 2))),
+                                      (np.ones(6), np.ones(3)), (np.ones((3, 3)), np.ones((3, 2))),
+                                      (np.ones(12)[::2], np.ones((3, 2)))],
+                             ids=["more_rows", "fewer_rows", "float32", "vector", "square",
+                                  "strided"])
+    def test_refuses_mismatched_operands(self, U, Z):
+        with pytest.raises(InvalidShape):
+            matrices.forward_solve(U, Z)
 
 
 class TestPointClouds:
