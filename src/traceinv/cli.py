@@ -29,6 +29,12 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok]
 
 
+def _thread_count(text):  # OpenBLAS reads 0 or less as every core, not as a cap
+    if (count := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _choice_list(*choices):
     def parse(text):
         items = text.split(",")
@@ -298,7 +304,7 @@ def build_parser():
         prog="traceinv",
         description="Evaluate and interpolate trace((A + t*B)^-1) for SPD matrices.",
     )
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_thread_count, default=None,
                         help="BLAS thread count (default: all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 

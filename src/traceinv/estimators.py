@@ -1,14 +1,14 @@
 """Exact and stochastic estimators of trace(M^-1).
 
-The exact Cholesky route inverts the packed factor (n(n+1)/2 entries) in
-place with a recursive BLAS-3 kernel (``matrices.invert_packed``) and
-takes the squared Frobenius norm of L^-1 as a single-threaded pairwise
-sum of that array, so it needs no buffer beyond the factor and sums no
-zeros. A prepared back-end computes each distinct shift once. The
-stochastic routes (Hutchinson and stochastic Lanczos quadrature) draw
-Rademacher probe vectors from per-sample seed streams derived from one
-master seed, which makes results reproducible and independent of the
-order in which samples are processed.
+The exact Cholesky route turns the packed operand (n(n+1)/2 entries) in
+place into the inverse of its factor in one recursive BLAS-3 pass with no
+triangular solve (``matrices.inverse_factor``), and sums the squares of
+that array on one thread, so it needs no other buffer and sums no zeros.
+Hutchinson alone factors with dpftrf (``matrices.cholesky``). A prepared back-end
+computes each distinct shift once. The stochastic routes (Hutchinson and
+stochastic Lanczos quadrature) draw Rademacher probe vectors from
+per-sample seed streams derived from one master seed, which makes results
+reproducible and independent of the order in which samples are processed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import InvalidShape, NotPositiveDefinite
-from .matrices import (SpdMatrix, checked_orders, checked_shift, cholesky, forward_solve,
-                       invert_packed, lapack_threads, shifted_array)
+from .matrices import (PIVOT_RTOL, SpdMatrix, checked_orders, checked_shift, cholesky,
+                       forward_solve, inverse_factor, shifted_array)
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
 PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
@@ -87,18 +87,14 @@ def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
 def trace_inv_exact_cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> TraceEstimate:
     """trace(M^-1) as the squared Frobenius norm of L^-1 from M = A + t*B = L L^T.
 
-    B = None means B = I. ``cholesky`` returns U = L^T packed in one fresh array of
-    n(n+1)/2 entries (a dense B adds one packed temporary); ``invert_packed`` turns it
-    into each entry of L^-1 once and no zeros, squared in place and summed by numpy's
-    pairwise reduction, on one thread: a BLAS dot would wake numpy's own thread pool.
+    B = None means B = I. ``inverse_factor`` returns U^-1 = L^-T packed in one fresh array
+    of n(n+1)/2 entries (a dense B adds one packed temporary): each entry of L^-1 once and
+    no zeros, squared in place and summed by numpy's pairwise reduction on one thread (a
+    BLAS dot would wake numpy's own thread pool).
     """
-    U = cholesky(A, B, t)
-    with lapack_threads(A.n):
-        info = invert_packed(U)
-    if info != 0:
-        raise NotPositiveDefinite(f"triangular inverse of the factor failed (info={info})")
-    np.square(U, out=U)
-    return TraceEstimate(value=float(U.sum()), method="exact-cholesky")
+    W = inverse_factor(A, B, t)
+    np.square(W, out=W)
+    return TraceEstimate(value=float(W.sum()), method="exact-cholesky")
 
 
 def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):
@@ -235,20 +231,21 @@ def trace_inv_slq(A: SpdMatrix, n_v, degree, seed, B: SpdMatrix | None = None,
     Rademacher probe is normalized to a unit start vector, and each probe
     block is one ``lanczos`` call. The Gauss quadrature weights w_j are the
     squared first components of each probe's tridiagonal eigenvectors, and
-    its estimate is n * sum_j w_j / theta_j. Non-positive quadrature nodes
-    theta_j signal an indefinite operand.
+    its estimate is n * sum_j w_j / theta_j. A quadrature node theta_j at or
+    below PIVOT_RTOL times M's largest entry signals a numerically indefinite
+    operand, the rule of the Cholesky pivot check.
     """
     n_v = _probe_count(n_v, seed)
     degree = _at_least_one("degree", degree)
     M = shifted_operand(A, B, t) if t != 0.0 else A
-    samples = []
+    floor, samples = PIVOT_RTOL * M.entry_norm(), []
     for Z in _probe_blocks(M.n, n_v, seed):
         tri = lanczos(M, Z, degree)
         for j, s in enumerate(tri.steps):
             theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha[:s, j], tri.beta[:s - 1, j])
-            if np.min(theta) <= 0.0:
-                raise NotPositiveDefinite(f"quadrature node {np.min(theta):.3e} <= 0; "
-                                          "operand is not positive definite")
+            if np.min(theta) <= floor:
+                raise NotPositiveDefinite(f"quadrature node {np.min(theta):.3e} <= {floor:.3e}; "
+                                          "operand is numerically indefinite")
             samples.append(M.n * float(np.sum(vecs[0, :] ** 2 / theta)))
     return _sample_mean(np.array(samples), "slq", seed)
 

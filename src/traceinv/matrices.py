@@ -2,9 +2,9 @@
 
 Everything downstream (trace estimators, interpolants, the experiment
 drivers) consumes what is defined here: ``SpdMatrix`` for the operands
-A and B, ``cholesky`` for their packed factors, ``invert_packed`` and
-``forward_solve`` for the estimators' work on a factor, ``PointCloud``
-for the spatial kernel study and ``DesignMatrix`` for ridge regression.
+A and B, ``cholesky`` and ``inverse_factor`` for their packed Cholesky
+factor and its inverse, ``forward_solve`` for solves with the factor,
+``PointCloud`` for the spatial kernel study and ``DesignMatrix`` for ridge regression.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ _SYMMETRY_TILE = 64  # the symmetry check compares tile pairs, never the whole t
 # numerically indefinite rather than as a valid factorization.
 PIVOT_RTOL = 1e-14
 
-# LAPACK calls on operands below this order run on one BLAS thread. With
-# the recursive inverse, exact traces on 2 cores (OpenBLAS 0.3.31, three
-# alternating processes per count, medians): order 500 took 3.8-4.8 ms on
-# one thread and 3.5-3.9 ms on two, at 1.6-2.0x the CPU time; order 1000
-# 21-28 against 18-22 ms at 1.6-1.8x; order 1500 59-82 against 43-52 ms.
-# Below about order 1000 a second thread saves little wall time for nearly
+# LAPACK calls on operands below this order run on one BLAS thread. Exact
+# traces by the fused factor-and-invert kernel on 2 cores (OpenBLAS 0.3.31,
+# three alternating processes per count, medians): order 500 took 2.5-3.7 ms
+# on one thread and 2.5-2.6 ms on two, at 2.5x the CPU time; order 1000
+# 14-16 against 10-13 ms at 1.4-1.6x; order 1500 38-52 against 30-35 ms.
+# Below about order 1000 a second thread saves little wall time for up to
 # twice the CPU, so 1024 stays.
 ONE_THREAD_MAX_ORDER = 1024
 _BLAS_THREADS_LOCK = threading.RLock()
@@ -81,9 +81,9 @@ def lapack_threads(n):
                 set_count(count)
 
 
-# Diagonal blocks of at most this order are inverted by LAPACK dtrtri
-# itself. Leaves of 32 to 192 timed within 10% of each other at orders
-# 500-2000 (2 cores, OpenBLAS 0.3.31), so the choice is not sensitive.
+# Diagonal blocks of at most this order go to LAPACK dpotrf and dtrtri. Leaves
+# of 64-192 timed within noise at order 500 (one thread) and 128 and 192 at 2500
+# (two); 256 was slower at 500 (2 cores, OpenBLAS 0.3.31). 128 stays.
 TRIANGULAR_LEAF_ORDER = 128
 
 
@@ -104,9 +104,11 @@ def _cython_routine(module, name, *argtypes):
 
 _CHAR, _ADDRESS = ctypes.c_char_p, ctypes.c_void_p  # _ADDRESS: a double * into the array
 _INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_ONE, _MINUS_ONE = ctypes.c_double(1.0), ctypes.c_double(-1.0)  # alpha and beta, only read
 # dtrtri(uplo, diag, n, a, lda, info), dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda,
-# b, ldb), dtrttf(transr, uplo, n, a, lda, arf, info), dpftrf(transr, uplo, n, a, info) and
-# dtfsm(transr, side, uplo, trans, diag, m, n, alpha, a, b, ldb)
+# b, ldb), dtrttf(transr, uplo, n, a, lda, arf, info), dpftrf(transr, uplo, n, a, info),
+# dtfsm(transr, side, uplo, trans, diag, m, n, alpha, a, b, ldb), dpotrf(uplo, n, a, lda,
+# info) and dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
 _dtrtri = _cython_routine(scipy.linalg.cython_lapack, "dtrtri",
                           _CHAR, _CHAR, _INT, _ADDRESS, _INT, _INT)
 _dtrmm = _cython_routine(scipy.linalg.cython_blas, "dtrmm", _CHAR, _CHAR, _CHAR, _CHAR, _INT,
@@ -114,6 +116,9 @@ _dtrmm = _cython_routine(scipy.linalg.cython_blas, "dtrmm", _CHAR, _CHAR, _CHAR,
 _dtrttf = _cython_routine(scipy.linalg.cython_lapack, "dtrttf",
                           _CHAR, _CHAR, _INT, _ADDRESS, _INT, _ADDRESS, _INT)
 _dpftrf = _cython_routine(scipy.linalg.cython_lapack, "dpftrf", _CHAR, _CHAR, _INT, _ADDRESS, _INT)
+_dpotrf = _cython_routine(scipy.linalg.cython_lapack, "dpotrf", _CHAR, _INT, _ADDRESS, _INT, _INT)
+_dsyrk = _cython_routine(scipy.linalg.cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _DOUBLE,
+                         _ADDRESS, _INT, _DOUBLE, _ADDRESS, _INT)
 _dtfsm = _cython_routine(scipy.linalg.cython_lapack, "dtfsm", _CHAR, _CHAR, _CHAR, _CHAR, _CHAR,
                          _INT, _INT, _DOUBLE, _ADDRESS, _ADDRESS, _INT)
 
@@ -127,55 +132,49 @@ def packed_diagonal(n):
     return np.where(i < n1, n1 + 1 + i * (2 * n1 + 2), n1 + (i - n1) * (2 * n1 + 2))
 
 
-def _packed_order(U, writeable=False) -> int:
-    """n if U is a contiguous float64 array of n(n+1)/2 > 0 entries (writeable if asked)."""
+def _packed_order(U) -> int:
+    """n if U is a contiguous float64 array of n(n+1)/2 > 0 entries."""
     n = (math.isqrt(8 * U.size + 1) - 1) // 2 if isinstance(U, np.ndarray) else 0
     if (not n or n * (n + 1) // 2 != U.size or U.dtype != np.float64 or U.ndim != 1
-            or not U.flags.c_contiguous or writeable and not U.flags.writeable):
+            or not U.flags.c_contiguous):
         raise InvalidShape("expected a contiguous float64 packed triangle")
     return n
 
 
-def invert_packed(U) -> int:
-    """Invert the packed factor U of ``cholesky`` in place, returning dtftri's info: dtftri's
-    steps with ``_invert_triangle`` for dtrtri (U11, U22), then U12 <- -U11^-1 U12 U22^-1."""
-    n = _packed_order(U, writeable=True)
-    n1, ld, base = n // 2, 2 * (n // 2) + 1, U.ctypes.data
-    T1, T2 = base + 8 * (n1 + 1), base + 8 * n1  # U11^T (a lower triangle) and U22
-    for offset, uplo, address, order in ((0, b"L", T1, n1), (n1, b"U", T2, n - n1)):
-        info = _invert_triangle(uplo, address, ld, order)
-        if info:
-            return offset + info
-    rows, cols, ld = ctypes.c_int(n1), ctypes.c_int(n - n1), ctypes.c_int(ld)
-    _dtrmm(b"L", b"L", b"T", b"N", rows, cols, ctypes.c_double(-1.0), T1, ld, base, ld)
-    _dtrmm(b"R", b"U", b"N", b"N", rows, cols, ctypes.c_double(1.0), T2, ld, base, ld)
-    return 0
+def _factor_invert(uplo, address, ld, order):
+    """Overwrite the SPD uplo triangle of this order at ``address``, leading dimension ld,
+    with the inverse of its Cholesky factor (U^-1 of A = U^T U, L^-1 of A = L L^T).
 
-
-def _invert_triangle(uplo, address, ld, order):
-    """Invert in place the uplo triangle of this order at ``address``, leading dimension ld.
-
-    Returns dtrtri's info. The recursive inverse of Elmroth, Gustavson, Jonsson & Kagstrom
-    (SIAM Review 2004): invert both halves, then the off-diagonal block by two dtrmm calls;
-    blocks of order <= TRIANGULAR_LEAF_ORDER go to dtrtri. (A closure calling itself would
-    be a reference cycle, keeping the array alive until the cycle collector ran.)"""
+    Returns dpotrf's info. One recursive pass (Bientinesi, Gunter & van de Geijn, ACM TOMS
+    2008; Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Review 2004): with W11 = U11^-1
+    formed, U12 = W11^T A12 is a dtrmm, not a solve; A22 - U12^T U12 (dsyrk) is recursed on,
+    and -W11 U12 W22 is two more dtrmm calls (lower: the mirror image). Blocks of order <=
+    TRIANGULAR_LEAF_ORDER go to dpotrf, then dtrtri. (A closure calling itself would be a
+    reference cycle, keeping the array alive until the cycle collector ran.)"""
+    lda, info = ctypes.c_int(ld), ctypes.c_int(0)
     if order <= TRIANGULAR_LEAF_ORDER:
-        info = ctypes.c_int(0)
-        _dtrtri(uplo, b"N", ctypes.c_int(order), address, ctypes.c_int(ld), info)
+        _dpotrf(uplo, ctypes.c_int(order), address, lda, info)
+        if not info.value:  # dtrtri cannot fail on dpotrf's positive diagonal
+            _dtrtri(uplo, b"N", ctypes.c_int(order), address, lda, info)
         return info.value
-    half = order // 2
+    half, rest = order // 2, order - order // 2
     second = address + 8 * half * (ld + 1)  # the second half's first diagonal entry
-    for offset, start, size in ((0, address, half), (half, second, order - half)):
-        info = _invert_triangle(uplo, start, ld, size)
-        if info:
-            return offset + info
-    if uplo == b"U":  # X <- -U11^-1 X U22^-1 for X above the second half
-        X, rows, cols, left, right = address + 8 * half * ld, half, order - half, address, second
-    else:  # X <- -L22^-1 X L11^-1 for X left of the second half
-        X, rows, cols, left, right = address + 8 * half, order - half, half, second, address
-    rows, cols, ld = ctypes.c_int(rows), ctypes.c_int(cols), ctypes.c_int(ld)
-    _dtrmm(b"L", uplo, b"N", b"N", rows, cols, ctypes.c_double(-1.0), left, ld, X, ld)
-    _dtrmm(b"R", uplo, b"N", b"N", rows, cols, ctypes.c_double(1.0), right, ld, X, ld)
+    if uplo == b"U":  # X above the second half, X W22 on the right
+        X, rows, cols, left, right, side, trans = (address + 8 * half * ld, half, rest,
+                                                   address, second, b"L", b"T")
+    else:  # X left of the second half, W22 X on the left
+        X, rows, cols, left, right, side, trans = (address + 8 * half, rest, half, second,
+                                                   address, b"R", b"N")
+    rows, cols = ctypes.c_int(rows), ctypes.c_int(cols)
+    if info := _factor_invert(uplo, address, ld, half):
+        return info
+    _dtrmm(side, uplo, b"T", b"N", rows, cols, _ONE, address, lda, X, lda)
+    _dsyrk(uplo, trans, ctypes.c_int(rest), ctypes.c_int(half), _MINUS_ONE, X, lda, _ONE,
+           second, lda)
+    if info := _factor_invert(uplo, second, ld, rest):
+        return half + info
+    _dtrmm(b"L", uplo, b"N", b"N", rows, cols, _MINUS_ONE, left, lda, X, lda)
+    _dtrmm(b"R", uplo, b"N", b"N", rows, cols, _ONE, right, lda, X, lda)
     return 0
 
 
@@ -302,13 +301,10 @@ def _packed(S: SpdMatrix) -> np.ndarray:
     return packed
 
 
-def cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
-    """Packed upper factor U = L^T with A + t*B = U^T U (B = None means B = I).
-
-    U is one fresh array of n(n+1)/2 entries (``packed_diagonal``; Gustavson, Wasniewski,
-    Dongarra & Langou, ACM TOMS 2010). A + t*B is formed there from the lower triangles of
-    A and B (a dense B as t*B, then a packed A added, which rounds as A + t*B does), and
-    dpftrf factors it in place. Raises NotPositiveDefinite; A and B are never written."""
+def _packed_shift(A: SpdMatrix, B: SpdMatrix | None, t):
+    """(A + t*B packed in one fresh array, its diagonal's positions, its largest diagonal
+    entry), B = None meaning B = I. Formed from the lower triangles of A and B: a dense B
+    as t*B, then a packed A added, which rounds as A + t*B does."""
     checked_orders(A, B)
     t, diagonal = checked_shift(t), packed_diagonal(A.n)
     if B is None or B.is_identity:
@@ -318,14 +314,55 @@ def cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
         packed = _packed(B)
         packed *= t
         packed += _packed(A)
-    max_diag, info = float(np.max(packed[diagonal])), ctypes.c_int(0)
-    with lapack_threads(A.n):
-        _dpftrf(b"N", b"U", ctypes.c_int(A.n), packed.ctypes.data, info)
-    if info.value != 0:
-        raise NotPositiveDefinite(f"Cholesky factorization failed (dpftrf info={info.value})")
-    if (pivot := float(np.min(packed[diagonal])) ** 2) < PIVOT_RTOL * max_diag:  # U_ii > 0
+    return packed, diagonal, float(np.max(packed[diagonal]))
+
+
+def _check_factored(info, max_diag, min_pivot):
+    """NotPositiveDefinite for a failed leading minor (info > 0, 1-based), or else for a
+    smallest pivot min_pivot() whose square is below PIVOT_RTOL * max_diag."""
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (info={info})")
+    if (pivot := min_pivot() ** 2) < PIVOT_RTOL * max_diag:
         raise NotPositiveDefinite(f"pivot {pivot:.3e} below tolerance "
                                   f"{PIVOT_RTOL * max_diag:.3e}; matrix is numerically indefinite")
+
+
+def cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
+    """Packed upper factor U = L^T with A + t*B = U^T U (B = None means B = I).
+
+    U is one fresh array of n(n+1)/2 entries (``packed_diagonal``; Gustavson, Wasniewski,
+    Dongarra & Langou, ACM TOMS 2010): ``_packed_shift`` forms A + t*B there and dpftrf
+    factors it in place. Only Hutchinson's probe solves need U itself; an exact trace takes
+    ``inverse_factor``. Raises NotPositiveDefinite; A and B are never written."""
+    packed, diagonal, max_diag = _packed_shift(A, B, t)
+    info = ctypes.c_int(0)
+    with lapack_threads(A.n):
+        _dpftrf(b"N", b"U", ctypes.c_int(A.n), packed.ctypes.data, info)
+    _check_factored(info.value, max_diag, lambda: float(np.min(packed[diagonal])))
+    return packed
+
+
+def inverse_factor(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
+    """U^-1 for A + t*B = U^T U (B = None means B = I), in ``cholesky``'s packed storage.
+
+    ``_packed_shift`` forms A + t*B, turned into U^-1 in place in one pass with no solve:
+    ``_factor_invert`` on T1 (U11^T, lower), U12 = U11^-T A12 by dtrmm, A22 - U12^T U12 by
+    dsyrk into T2, ``_factor_invert`` on T2 (U22, upper), then dtftri's two dtrmm calls for
+    -U11^-1 U12 U22^-1. Raises NotPositiveDefinite with dpftrf's info; the smallest pivot
+    is 1 / max(U^-1_ii). A and B are never written."""
+    packed, diagonal, max_diag = _packed_shift(A, B, t)
+    n1, n2, ld, base = A.n // 2, A.n - A.n // 2, 2 * (A.n // 2) + 1, packed.ctypes.data
+    T1, T2, rows, cols, lda = base + 8 * (n1 + 1), base + 8 * n1, *map(ctypes.c_int, (n1, n2, ld))
+    with lapack_threads(A.n):
+        if not (info := _factor_invert(b"L", T1, ld, n1)):
+            _dtrmm(b"L", b"L", b"N", b"N", rows, cols, _ONE, T1, lda, base, lda)
+            _dsyrk(b"U", b"T", cols, rows, _MINUS_ONE, base, lda, _ONE, T2, lda)
+            if info := _factor_invert(b"U", T2, ld, n2):
+                info += n1
+            else:
+                _dtrmm(b"L", b"L", b"T", b"N", rows, cols, _MINUS_ONE, T1, lda, base, lda)
+                _dtrmm(b"R", b"U", b"N", b"N", rows, cols, _ONE, T2, lda, base, lda)
+    _check_factored(info, max_diag, lambda: 1.0 / float(np.max(packed[diagonal])))
     return packed
 
 

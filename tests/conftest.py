@@ -67,13 +67,13 @@ def eigh_calls(monkeypatch):
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """Orders of the operands factored by the estimators' Cholesky calls."""
+    """Orders of the operands factored by the estimators: every ``cholesky`` call
+    (Hutchinson) and every ``inverse_factor`` call (exact traces)."""
     calls = []
-    cholesky = traceinv.estimators.cholesky
+    for name in ("cholesky", "inverse_factor"):
+        def counting(A, B=None, t=0.0, factor=getattr(traceinv.estimators, name)):
+            calls.append(A.n)
+            return factor(A, B, t)
 
-    def counting(A, B=None, t=0.0):
-        calls.append(A.n)
-        return cholesky(A, B, t)
-
-    monkeypatch.setattr(traceinv.estimators, "cholesky", counting)
+        monkeypatch.setattr(traceinv.estimators, name, counting)
     return calls

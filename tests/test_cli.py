@@ -207,6 +207,17 @@ def test_threads_flag_accepted(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_threads_below_one_refused(tmp_path, capsys, count):
+    # OpenBLAS reads a count of 0 or less as all cores, the opposite of a cap
+    with pytest.raises(SystemExit) as refused:
+        main(["--threads", count, "check-inequalities", "--trials", "2",
+              "--out", str(tmp_path / "o")])
+    assert refused.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports this same traceinv package."""
     src = str(Path(traceinv.__file__).resolve().parents[1])

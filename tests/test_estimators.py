@@ -20,7 +20,7 @@ from traceinv import (
     trace_inv_slq,
 )
 from traceinv.estimators import lanczos, trace_inv_exact_eigen
-from traceinv.matrices import cholesky
+from traceinv.matrices import cholesky, inverse_factor
 
 import traceinv.estimators
 from conftest import lower_factor, spd_from_eigenvalues, traced_extra_bytes
@@ -85,10 +85,9 @@ class TestExactCholesky:
             assert trace_inv_exact_cholesky(M).value == pytest.approx(direct, rel=1e-12)
 
     def test_sum_of_squares_matches_correctly_rounded_sum(self, rng):
+        # the sum alone: the kernel's own inverse, squared and correctly rounded
         M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2, 2, 300))
-        L_inv, info = scipy.linalg.lapack.dtrtri(lower_factor(cholesky(M)), lower=1)
-        assert info == 0
-        exact = math.fsum((L_inv**2).ravel())
+        exact = math.fsum((inverse_factor(M) ** 2).tolist())
         assert trace_inv_exact_cholesky(M).value == pytest.approx(exact, rel=1e-14)
 
 
@@ -390,7 +389,7 @@ def test_estimators_are_looked_up_at_call_time(rng, monkeypatch):
 @pytest.mark.parametrize("method", ["cholesky", "eigen", "hutchinson", "slq"])
 def test_non_finite_shift_refused_before_any_work(monkeypatch, method, t):
     work = []
-    for name in ("shifted_operand", "cholesky", "lanczos"):
+    for name in ("shifted_operand", "cholesky", "inverse_factor", "lanczos"):
         def recording(*args, name=name, original=getattr(traceinv.estimators, name), **kwargs):
             work.append(name)
             return original(*args, **kwargs)
@@ -400,6 +399,15 @@ def test_non_finite_shift_refused_before_any_work(monkeypatch, method, t):
     with pytest.raises(InvalidShape, match=f"shift t={t} is not finite"):
         backend([1.0, t])
     assert work == []
+
+
+@pytest.mark.parametrize("method", ["cholesky", "eigen", "hutchinson", "slq"])
+def test_singular_shift_refused(method):
+    # A - I = diag(0, 1, 3): SLQ's smallest quadrature node is rounding noise about 0
+    backend = prepare_trace(SpdMatrix.from_dense(np.diag([1.0, 2.0, 4.0])), None, method,
+                            n_v=2, degree=3, seed=0)
+    with pytest.raises(NotPositiveDefinite):
+        backend([-1.0])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -411,7 +411,7 @@ def test_stochastic_estimate_without_seed_refused(case, small_problem, monkeypat
 
         return wrapper
 
-    for name in ("shifted_operand", "cholesky", "lanczos"):
+    for name in ("shifted_operand", "cholesky", "inverse_factor", "lanczos"):
         monkeypatch.setattr(traceinv.estimators, name, recording(name))
     M = SpdMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
     runs = {

@@ -1,6 +1,7 @@
 import ctypes
 import gc
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from traceinv import (
     random_points,
     trace_inv_exact_cholesky,
 )
+import traceinv.estimators
 from traceinv import matrices
-from traceinv.matrices import apply_householder, cholesky
+from traceinv.matrices import apply_householder, cholesky, inverse_factor
 
 from conftest import lower_factor, packed_order, spd_from_eigenvalues, traced_extra_bytes
 
@@ -152,28 +154,21 @@ class TestCholesky:
 
     @pytest.mark.parametrize("n", [299, 300])
     def test_inverse_takes_factor_without_copy(self, monkeypatch, rng, n):
-        # every block the inverse writes lies in the packed array dpftrf
-        # factored, addressed through the packed leading dimension
-        factors, written = [], []
+        # every block the fused kernel writes lies in the one packed array that
+        # inverse_factor returns, addressed through the packed leading dimension
+        returned = []
 
-        def spy(name, record):
-            real = getattr(matrices, name)
+        def spy(A, B=None, t=0.0, real=traceinv.estimators.inverse_factor):
+            returned.append(real(A, B, t))
+            return returned[-1]
 
-            def wrapped(*args):
-                record(name, args)
-                return real(*args)
-            monkeypatch.setattr(matrices, name, wrapped)
-
-        spy("_dpftrf", lambda name, args: factors.append(args[3]))
-        for name in ("_dtrtri", "_dtrmm"):
-            spy(name, lambda name, args: written.append((name, *written_block(name, args))))
+        monkeypatch.setattr(traceinv.estimators, "inverse_factor", spy)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, n))
-        trace_inv_exact_cholesky(A)
-        (start,) = factors
-        end = start + 8 * n * (n + 1) // 2
-        assert {name for name, *_ in written} == {"_dtrtri", "_dtrmm"}
-        assert all(start <= first and last < end and ld == 2 * (n // 2) + 1
-                   for _, first, last, ld in written)
+        with recorded_writes() as written:
+            trace_inv_exact_cholesky(A)
+        (W,) = returned
+        assert {name for name, *_ in written} == set(KERNEL_ROUTINES)
+        assert writes_inside(written, W)
 
     def test_source_left_untouched(self, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
@@ -235,30 +230,32 @@ class TestLapackThreads:
 
     def test_small_trace_factors_on_one_thread(self, monkeypatch, rng, counts):
         before, seen = counts(), []
-        self.spy(monkeypatch, matrices, "_dpftrf", counts, seen)
-        self.spy(monkeypatch, matrices, "_dtrtri", counts, seen)
-        self.spy(monkeypatch, matrices, "_dtrmm", counts, seen)
+        for name in KERNEL_ROUTINES:
+            self.spy(monkeypatch, matrices, name, counts, seen)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 300))
         trace_inv_exact_cholesky(A)
         one = [1] * len(before)
-        assert seen[0] == ("_dpftrf", one)
-        assert {name for name, _ in seen[1:]} == {"_dtrtri", "_dtrmm"}
+        assert seen[0] == ("_dpotrf", one)
+        assert {name for name, _ in seen} == set(KERNEL_ROUTINES)
         assert all(count == one for _, count in seen)
         assert counts() == before
 
     def test_count_restored_after_failed_factorization(self, counts):
         before = counts()
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(SpdMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]))
-        assert counts() == before
+        for factor in (cholesky, inverse_factor):
+            with pytest.raises(NotPositiveDefinite):
+                factor(SpdMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]))
+            assert counts() == before
 
     def test_large_order_keeps_thread_count(self, monkeypatch, rng, counts):
         monkeypatch.setattr(matrices, "ONE_THREAD_MAX_ORDER", 30)
         before, seen = counts(), []
         self.spy(monkeypatch, matrices, "_dpftrf", counts, seen)
+        self.spy(monkeypatch, matrices, "_dpotrf", counts, seen)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
         cholesky(A)
-        assert seen == [("_dpftrf", before)]
+        inverse_factor(A)
+        assert seen == [("_dpftrf", before), ("_dpotrf", before), ("_dpotrf", before)]
 
     def test_trace_agrees_with_default_thread_count(self, monkeypatch, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 300))
@@ -267,15 +264,44 @@ class TestLapackThreads:
         assert trace_inv_exact_cholesky(A).value == pytest.approx(one_thread, rel=1e-12)
 
 
+KERNEL_ROUTINES = ("_dpotrf", "_dtrtri", "_dtrmm", "_dsyrk")
+
+
 def written_block(name, args):
-    """(first address, last address, leading dimension) of the block that a
-    ``matrices._dtrtri`` or ``matrices._dtrmm`` call with these arguments writes."""
-    if name == "_dtrtri":  # dtrtri(uplo, diag, n, a, lda, info)
+    """(first address, last address, leading dimension) of the block that a call of
+    ``matrices._dpotrf``, ``_dtrtri``, ``_dtrmm`` or ``_dsyrk`` with these arguments writes."""
+    if name == "_dpotrf":  # dpotrf(uplo, n, a, lda, info)
+        rows = cols = args[1].value
+        address, ld = args[2], args[3].value
+    elif name == "_dtrtri":  # dtrtri(uplo, diag, n, a, lda, info)
         rows = cols = args[2].value
         address, ld = args[3], args[4].value
+    elif name == "_dsyrk":  # dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
+        rows = cols = args[2].value
+        address, ld = args[8], args[9].value
     else:  # dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
         rows, cols, address, ld = args[4].value, args[5].value, args[9], args[10].value
     return address, address + 8 * ((cols - 1) * ld + rows - 1), ld
+
+
+@contextmanager
+def recorded_writes():
+    """List of (name, first, last, ld) of every kernel routine's write inside the block."""
+    written = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in KERNEL_ROUTINES:
+            def wrapped(*args, name=name, real=getattr(matrices, name)):
+                written.append((name, *written_block(name, args)))
+                return real(*args)
+            patch.setattr(matrices, name, wrapped)
+        yield written
+
+
+def writes_inside(written, W):
+    """Every recorded write lies in the packed array W, at its leading dimension."""
+    n, start = packed_order(W), W.ctypes.data
+    return all(start <= first and last < start + 8 * W.size and ld == 2 * (n // 2) + 1
+               for _, first, last, ld in written)
 
 
 def spd_of_order(n, seed):
@@ -335,53 +361,100 @@ class TestPackedFactor:
     def test_indefinite_reports_dpftrf_info(self, n, pivot):
         d = np.ones(n)
         d[pivot] = -1.0
-        with pytest.raises(NotPositiveDefinite, match=rf"dpftrf info={pivot + 1}\)"):
+        with pytest.raises(NotPositiveDefinite, match=rf"\(info={pivot + 1}\)"):
             cholesky(SpdMatrix.from_dense(np.diag(d)))
 
 
-class TestInvertPacked:
-    @settings(max_examples=25, deadline=None)
-    @given(ORDERS, st.integers(0, 10_000))
-    @example(n=257, seed=0)
-    @example(n=299, seed=1)
-    def test_property_matches_dtftri(self, n, seed):
-        U = factor_of_order(n, seed)
-        reference, info = dtftri(U)
-        assert info == 0
-        assert matrices.invert_packed(U) == 0
-        assert np.linalg.norm(U - reference) <= 1e-13 * np.linalg.norm(reference)
+# the RFP halves of 513 are 256 and 257, each split again
+FUSED_ORDERS = st.one_of(ORDERS, st.sampled_from([256, 257, 258, 513]))
 
-    # pivots 148 and 149 of order 299 are the last of U11 and the first of U22
-    @pytest.mark.parametrize("n,pivot", [(300, 10), (300, 200), (300, 299), (299, 148),
-                                         (299, 149)])
-    def test_zero_pivot_reports_dtftri_info(self, n, pivot):
-        U = factor_of_order(n, 7)
-        U[matrices.packed_diagonal(n)[pivot]] = 0.0
-        _, info = dtftri(U)
-        assert info == pivot + 1
-        assert matrices.invert_packed(U) == info
+
+def dpftrf_info(M):
+    """LAPACK dpftrf's info on M, through scipy's f2py wrappers."""
+    packed, info = scipy.linalg.lapack.dtrttf(M)
+    assert info == 0
+    return scipy.linalg.lapack.dpftrf(M.shape[0], packed)[1]
+
+
+def extended_trace(M):
+    """trace(M^-1) of the stored M, refined in np.longdouble: with X = inv(M) and
+    R = I - M X, M^-1 = X (I + R + R^2 + ...); |R|_2 measured 5e-9 at cond(M) = 1e8."""
+    X = np.linalg.inv(M).astype(np.longdouble)
+    R = np.eye(M.shape[0], dtype=np.longdouble) - M.astype(np.longdouble) @ X
+    XR = X @ R
+    return float(np.trace(X) + np.trace(XR) + np.sum(XR * R.T))
+
+
+class TestInverseFactor:
+    @settings(max_examples=25, deadline=None)
+    @given(FUSED_ORDERS, st.integers(0, 10_000))
+    @example(n=1, seed=0)
+    @example(n=257, seed=0)
+    @example(n=513, seed=1)
+    def test_property_matches_dpftrf_then_dtftri(self, n, seed):
+        reference, info = dtftri(factor_of_order(n, seed))
+        assert info == 0
+        with recorded_writes() as written:
+            W = inverse_factor(SpdMatrix.from_dense(spd_of_order(n, seed)))
+        assert np.linalg.norm(W - reference) <= 1e-13 * np.linalg.norm(reference)
+        assert {name for name, *_ in written} == set(KERNEL_ROUTINES)
+        assert writes_inside(written, W)
+
+    def test_order_above_one_thread_max_matches_dtftri(self):
+        # BLAS runs at its default thread count here
+        n = 1030
+        assert n >= matrices.ONE_THREAD_MAX_ORDER
+        reference, info = dtftri(factor_of_order(n, 5))
+        assert info == 0
+        W = inverse_factor(SpdMatrix.from_dense(spd_of_order(n, 5)))
+        assert np.linalg.norm(W - reference) <= 1e-13 * np.linalg.norm(reference)
+
+    # T1 holds leading minors 1..n//2 and T2 the rest; at 600 the triangles of order
+    # 300 split in halves of 150, so 200 and 500 fail below a recursion split
+    @pytest.mark.parametrize("n,pivot", [(1, 0), (7, 2), (7, 3), (300, 10), (300, 200),
+                                         (513, 300), (600, 200), (600, 500)])
+    def test_indefinite_reports_dpftrf_info(self, n, pivot):
+        M = spd_of_order(n, pivot)
+        M[pivot, pivot] = -1.0
+        assert dpftrf_info(M) == pivot + 1
+        with pytest.raises(NotPositiveDefinite, match=rf"\(info={pivot + 1}\)"):
+            inverse_factor(SpdMatrix.from_dense(M))
+
+    def test_tiny_pivot_raises(self):
+        # the smallest pivot is read as 1 / max(U^-1_ii)
+        with pytest.raises(NotPositiveDefinite, match="pivot 1.000e-16 below"):
+            inverse_factor(SpdMatrix.from_dense(np.diag([1.0, 1e-16])))
 
     def test_keeps_no_reference_to_the_array(self):
-        # the factor must be freed on return, not by the cycle collector: one
+        # the array must be freed on return, not by the cycle collector: one
         # exact GCV search inverts over a hundred 1 MB factors
-        U = factor_of_order(300, 3)
-        alive = weakref.ref(U)
+        A = SpdMatrix.from_dense(spd_of_order(300, 3))
         gc.disable()
         try:
-            assert matrices.invert_packed(U) == 0
-            del U
+            W = inverse_factor(A)
+            alive = weakref.ref(W)
+            del W
             assert alive() is None
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("array", [np.ones((3, 3)), np.ones(5), np.empty(0),
-                                       np.ones(6, dtype=np.float32), np.ones(12)[::2],
-                                       np.frombuffer(bytes(48))],
-                             ids=["square", "not_triangular", "empty", "float32", "strided",
-                                  "read_only"])
-    def test_refuses_array_it_would_have_to_copy(self, array):
-        with pytest.raises(InvalidShape):
-            matrices.invert_packed(array)
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8])
+    def test_trace_as_accurate_as_lapack(self, monkeypatch, kappa):
+        # leaves of 16 make order 128 recurse twice below each RFP triangle. The median
+        # error over nine operands is within 6x that of dpftrf + dtftri, or of 4 ulps:
+        # the product with an explicit inverse in place of a solve measured 0.2-3.6x
+        # over nine operands and 1.0-2.4x over forty, at leaves of 16 and 128
+        monkeypatch.setattr(matrices, "TRIANGULAR_LEAF_ORDER", 16)
+        errors = []
+        for seed in range(9):
+            rng = np.random.default_rng(seed)
+            A, _ = spd_from_eigenvalues(rng, np.logspace(0, -np.log10(kappa), 128))
+            exact = extended_trace(A.data)
+            lapack = float(np.sum(dtftri(cholesky(A))[0] ** 2))
+            fused = float(np.sum(inverse_factor(A) ** 2))
+            errors.append([abs(fused - exact) / exact, abs(lapack - exact) / exact])
+        fused, lapack = np.median(errors, axis=0)
+        assert fused <= 6 * max(lapack, 4 * np.finfo(float).eps)
 
 
 class TestForwardSolve:
