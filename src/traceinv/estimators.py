@@ -19,8 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import InvalidShape, NotPositiveDefinite
-from .matrices import (PIVOT_RTOL, SpdMatrix, checked_orders, checked_shift, cholesky,
-                       forward_solve, inverse_factor, shifted_array)
+from .matrices import (PIVOT_RTOL, SpdMatrix, checked_count, checked_orders, checked_shift,
+                       cholesky, forward_solve, inverse_factor, shifted_array)
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
 PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
@@ -75,12 +75,15 @@ class LanczosTriDiag:
 
 
 def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
-    """A + t*B (B = None means B = I) as a dense operand that owns its one fresh array.
+    """A + t*B (B = None means B = I) as a dense operand, never re-scanned for symmetry.
 
-    The array is ``shifted_array``'s. A and B were checked for symmetry
-    when they were built, so their sum is not scanned again. Only
-    ``trace_inv_slq`` at t != 0 uses it; the factored estimators do not.
+    For a dense A and B = I it is O(1): A's own array, carrying the shift
+    A.shift + t, which every reader adds (so shifts compose as one sum).
+    A dense B, or an identity A, gets one fresh array from ``shifted_array``.
     """
+    if A.kind == "dense" and (B is None or B.is_identity):
+        checked_orders(A, B)
+        return SpdMatrix(A.n, "dense", A.data, A.shift + checked_shift(t))
     return SpdMatrix(A.n, "dense", shifted_array(A, B, t))
 
 
@@ -133,18 +136,11 @@ def _sample_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _at_least_one(name, value):
-    value = int(value)
-    if value < 1:
-        raise InvalidShape(f"{name} must be >= 1")
-    return value
-
-
 def _probe_count(n_v, seed):
     """n_v as an int, checked together with the seed before any work is done."""
     if seed is None:
         raise InvalidShape("a stochastic estimate needs an integer seed; it names the probe set")
-    return _at_least_one("n_v", n_v)
+    return checked_count("n_v", n_v)
 
 
 def _probe_blocks(n, n_v, seed):
@@ -186,7 +182,7 @@ def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
     falls below LANCZOS_BREAKDOWN_RTOL times a cheap norm estimate of M,
     i.e. at an invariant subspace; its later entries are zero.
     """
-    degree = _at_least_one("degree", degree)
+    degree = checked_count("degree", degree)
     v0 = np.asarray(v0, dtype=float)
     V = v0.reshape(v0.shape[0], -1).T  # one row per recurrence
     norms = np.linalg.norm(V, axis=1)
@@ -226,8 +222,9 @@ def trace_inv_slq(A: SpdMatrix, n_v, degree, seed, B: SpdMatrix | None = None,
                   t=0.0) -> TraceEstimate:
     """Stochastic Lanczos quadrature estimate of trace(M^-1) of M = A + t*B.
 
-    B = None means B = I. M is formed by ``shifted_operand`` only when
-    t != 0; at t = 0 the recurrences run on A itself, with no copy. Each
+    B = None means B = I. M is ``shifted_operand``'s: for B = I that is A's
+    own array with a diagonal shift, and a dense B is added into a fresh
+    array only when t != 0 (at t = 0 the recurrences run on A itself). Each
     Rademacher probe is normalized to a unit start vector, and each probe
     block is one ``lanczos`` call. The Gauss quadrature weights w_j are the
     squared first components of each probe's tridiagonal eigenvectors, and
@@ -236,7 +233,7 @@ def trace_inv_slq(A: SpdMatrix, n_v, degree, seed, B: SpdMatrix | None = None,
     operand, the rule of the Cholesky pivot check.
     """
     n_v = _probe_count(n_v, seed)
-    degree = _at_least_one("degree", degree)
+    degree = checked_count("degree", degree)
     M = shifted_operand(A, B, t) if t != 0.0 else A
     floor, samples = PIVOT_RTOL * M.entry_norm(), []
     for Z in _probe_blocks(M.n, n_v, seed):
@@ -286,7 +283,7 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
         def estimate(M, B, t):
             return trace_inv_hutchinson(M, n_v, seed, B, t)
     elif method == "slq":
-        n_v, degree = _probe_count(n_v, seed), _at_least_one("degree", degree)
+        n_v, degree = _probe_count(n_v, seed), checked_count("degree", degree)
 
         def estimate(M, B, t):
             return trace_inv_slq(M, n_v, degree, seed, B, t)

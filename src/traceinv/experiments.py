@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .estimators import prepare_trace
+from .estimators import prepare_trace, shifted_operand
 from .exceptions import InvalidShape, TraceInvError
 from .interpolation import (
     InterpolantPoints,
@@ -200,8 +200,8 @@ class GcvProblem:
 
     @cached_property
     def shifted_gram(self) -> SpdMatrix:
-        A = self.gram + self.s * np.eye(self.m)
-        return SpdMatrix.from_dense(0.5 * (A + A.T))
+        """X^T X + s*I, sharing ``gram``'s array (X.T @ X is computed exactly symmetric)."""
+        return shifted_operand(SpdMatrix.from_dense(self.gram), None, self.s)
 
     def tau_context(self, method="cholesky", n_v=30, degree=30, seed=0) -> TauContext:
         return compute_tau_context(self.shifted_gram, method=method, n_v=n_v,

@@ -197,16 +197,19 @@ def _is_symmetric(a, tol):
 
 @dataclass(frozen=True)
 class SpdMatrix:
-    """Symmetric positive-definite operand.
+    """Symmetric positive-definite operand: data + shift * I.
 
-    Storage is a dense array or an implicit identity (no stored entries).
-    Positive definiteness is not checked at construction; it surfaces as
-    :class:`NotPositiveDefinite` at factorization time.
+    Storage is a dense array or an implicit identity (no stored entries),
+    plus a diagonal shift that every reader adds, so A + t*I shares A's
+    array (``estimators.shifted_operand``). Positive definiteness is not
+    checked at construction; it surfaces as :class:`NotPositiveDefinite`
+    at factorization time.
     """
 
     n: int
     kind: str  # "dense" | "identity"
     data: object = field(repr=False, default=None)
+    shift: float = 0.0
 
     @classmethod
     def from_dense(cls, array):
@@ -229,43 +232,56 @@ class SpdMatrix:
 
     @classmethod
     def identity(cls, n):
-        if int(n) < 1:
-            raise InvalidShape(f"expected a non-empty identity, got order {n}")
-        return cls(n=int(n), kind="identity", data=None)
+        return cls(n=checked_count("the order of a non-empty identity", n), kind="identity")
 
     @property
     def is_identity(self):
         return self.kind == "identity"
 
     def to_dense(self):
-        return np.eye(self.n) if self.is_identity else self.data
+        """The entries: the stored array itself when unshifted, else a fresh array."""
+        if self.kind == "dense" and not self.shift:
+            return self.data
+        dense = np.eye(self.n) if self.is_identity else self.data.copy()
+        dense[np.diag_indices(self.n)] += self.shift
+        return dense
 
     def diagonal(self):
-        return np.ones(self.n) if self.is_identity else np.diag(self.data)
+        return (np.ones(self.n) if self.is_identity else np.diag(self.data)) + self.shift
 
     def trace(self):
         return float(self.diagonal().sum())
 
     def matvec(self, v):
         """Product with a vector (n,) or a block (n, b): one scipy dgemm of the
-        F-ordered view data^T, transposed, so data and an F-ordered block are not copied."""
+        F-ordered view data^T, transposed, so data and an F-ordered block are not copied,
+        then shift times the block added."""
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n:
             raise DimensionMismatch(f"vector length {v.shape[0]} != order {self.n}")
-        if self.kind == "identity":
-            return v.copy()
         block = v.reshape(self.n, -1)
-        return scipy.linalg.blas.dgemm(1.0, self.data.T, block, trans_a=1).reshape(v.shape)
+        product = (block.copy() if self.is_identity
+                   else scipy.linalg.blas.dgemm(1.0, self.data.T, block, trans_a=1))
+        if self.shift:
+            product += self.shift * block
+        return product.reshape(v.shape)
 
     def entry_norm(self):
         """Largest entry in absolute value, which a PSD matrix has on its diagonal."""
-        return 1.0 if self.is_identity else float(np.max(np.abs(np.diag(self.data))))
+        return float(np.max(np.abs(self.diagonal())))
 
 
 def checked_orders(A: SpdMatrix, B: SpdMatrix | None):
     """DimensionMismatch unless B is None (B = I) or of A's order."""
     if B is not None and A.n != B.n:
         raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
+
+
+def checked_count(name, value) -> int:
+    """value as an int; InvalidShape unless it is a whole number >= 1 (numpy integers pass)."""
+    if not (float(value).is_integer() and value >= 1):
+        raise InvalidShape(f"{name} must be >= 1 and whole, got {value!r}")
+    return int(value)
 
 
 def checked_shift(t) -> float:
@@ -278,13 +294,17 @@ def checked_shift(t) -> float:
 def shifted_array(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
     """A + t*B (B = None means B = I) as a fresh C-ordered array the caller owns.
 
-    For B = I it is a memcpy of A plus t on the diagonal; for a dense B it
-    is t*B, then A added in place, which rounds exactly as A + t*B does.
+    For B = I it is A's entries (one memcpy, A's shift added if it has one)
+    plus t on the diagonal; for a dense B it is t*B, then A's entries added
+    in place, which rounds exactly as A + t*B does. ``estimators.shifted_operand``
+    needs it only for a dense B or an identity A.
     """
     checked_orders(A, B)
     t = checked_shift(t)
     if B is None or B.is_identity:
-        shifted = A.to_dense().copy()
+        shifted = A.to_dense()
+        if shifted is A.data:
+            shifted = shifted.copy()
         shifted[np.diag_indices(A.n)] += t
         return shifted
     shifted = t * B.to_dense()
@@ -293,18 +313,23 @@ def shifted_array(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray
 
 
 def _packed(S: SpdMatrix) -> np.ndarray:
-    """S's lower triangle, packed: the upper one of S's C-ordered entries read F-ordered."""
-    dense = np.ascontiguousarray(S.to_dense(), dtype=np.float64)  # dtrttf reads its memory
+    """S's lower triangle, packed: the upper one of S's C-ordered entries read F-ordered,
+    then S's shift added on the packed diagonal, so a shifted S is never materialized."""
+    stored = np.eye(S.n) if S.is_identity else S.data  # S.to_dense() would add the shift
+    dense = np.ascontiguousarray(stored, dtype=np.float64)  # dtrttf reads its memory
     packed = np.empty(S.n * (S.n + 1) // 2)
     _dtrttf(b"N", b"U", ctypes.c_int(S.n), dense.ctypes.data, ctypes.c_int(S.n),
             packed.ctypes.data, ctypes.c_int(0))
+    if S.shift:
+        packed[packed_diagonal(S.n)] += S.shift
     return packed
 
 
 def _packed_shift(A: SpdMatrix, B: SpdMatrix | None, t):
     """(A + t*B packed in one fresh array, its diagonal's positions, its largest diagonal
-    entry), B = None meaning B = I. Formed from the lower triangles of A and B: a dense B
-    as t*B, then a packed A added, which rounds as A + t*B does."""
+    entry), B = None meaning B = I. Formed from the lower triangles of A and B, each with
+    its own shift (``_packed``): a dense B as t*B, then a packed A added, which rounds as
+    A + t*B does; for B = I each diagonal entry is (a_ii + A.shift) + t."""
     checked_orders(A, B)
     t, diagonal = checked_shift(t), packed_diagonal(A.n)
     if B is None or B.is_identity:

@@ -46,6 +46,16 @@ def traced_extra_bytes(fn, *args):
     return peak - end
 
 
+def traced_peak_bytes(fn, *args):
+    """Traced peak of fn(*args), counting what its result still holds."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from traceinv.estimators import lanczos, trace_inv_exact_eigen
 from traceinv.matrices import cholesky, inverse_factor
 
 import traceinv.estimators
-from conftest import lower_factor, spd_from_eigenvalues, traced_extra_bytes
+from conftest import lower_factor, spd_from_eigenvalues, traced_extra_bytes, traced_peak_bytes
 
 
 class TestShiftedOperand:
@@ -43,13 +44,54 @@ class TestShiftedOperand:
         assert M.data.flags.c_contiguous
         assert M.data.tobytes() == (A.to_dense() + 0.5 * B.to_dense()).tobytes()
 
-    def test_identity_shift_adds_to_diagonal_only(self, rng):
-        A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 5))
-        M = shifted_operand(A, SpdMatrix.identity(5), 0.3)
+    @pytest.mark.parametrize("s", [0.0, 0.7])
+    def test_identity_shift_adds_to_diagonal_only(self, rng, s):
+        # A + t*I shares A's array, and every reader sees the materialized A + t*I;
+        # s != 0 nests two shifts, which compose as the one shift fl(s + t)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 40))
+        I, t = SpdMatrix.identity(40), 0.3
+        M = shifted_operand(shifted_operand(A, I, s) if s else A, I, t)
         expected = A.data.copy()
-        expected[np.diag_indices(5)] += 0.3
-        assert M.data.flags.c_contiguous and not np.shares_memory(M.data, A.data)
-        assert M.data.tobytes() == expected.tobytes()
+        expected[np.diag_indices(40)] += s + t
+        assert M.data is A.data and M.shift == s + t
+        dense = M.to_dense()
+        assert dense.flags.c_contiguous and not np.shares_memory(dense, A.data)
+        assert dense.tobytes() == expected.tobytes()
+        materialized = SpdMatrix.from_dense(expected)
+        assert traceinv.matrices._packed(M).tobytes() == \
+            traceinv.matrices._packed(materialized).tobytes()
+        assert M.diagonal().tobytes() == np.diag(expected).tobytes()
+        assert M.trace() == materialized.trace()
+        assert M.entry_norm() == materialized.entry_norm()
+        for Z in (rng.standard_normal(40), rng.standard_normal((40, 7))):
+            product = M.matvec(Z)
+            assert product.shape == Z.shape
+            reference = expected @ Z
+            assert np.linalg.norm(product - reference) <= 1e-15 * np.linalg.norm(reference)
+        for est in (trace_inv_exact_cholesky, lambda N: trace_inv_hutchinson(N, n_v=5, seed=3)):
+            assert est(M).value.hex() == est(materialized).value.hex()
+        slq = [trace_inv_slq(N, n_v=5, degree=8, seed=3).value for N in (M, materialized)]
+        assert slq[0] == pytest.approx(slq[1], rel=1e-12)
+
+    def test_shifted_a_with_dense_b_gets_a_fresh_array(self, rng):
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 5))
+        B, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 5))
+        shifted = shifted_operand(A, None, 0.7)
+        M = shifted_operand(shifted, B, 0.5)
+        assert M.shift == 0.0 and not np.shares_memory(M.data, A.data)
+        assert M.data.tobytes() == (shifted.to_dense() + 0.5 * B.to_dense()).tobytes()
+        again, expected = traceinv.matrices.shifted_array(shifted, None, 0.5), shifted.to_dense()
+        expected[np.diag_indices(5)] += 0.5  # (a_ii + 0.7) + 0.5, as the packed form rounds
+        assert not np.shares_memory(again, A.data) and again.tobytes() == expected.tobytes()
+
+    def test_makes_no_square_array(self, rng):
+        # the B = I shift is held, not added into a copy of A, by SLQ too
+        n = 400
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, n))
+        I = SpdMatrix.identity(n)
+        assert traced_peak_bytes(shifted_operand, A, I, 0.5) < n * n * 8
+        slq = functools.partial(trace_inv_slq, n_v=4, degree=10, seed=0, t=0.5)
+        assert traced_peak_bytes(slq, A) < n * n * 8
 
     def test_order_mismatch(self):
         with pytest.raises(Exception):
@@ -544,3 +586,18 @@ def test_property_cholesky_trace_matches_eigen_sum(n, seed):
     M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1, 1, n))
     eig_sum = np.sum(1.0 / np.linalg.eigvalsh(M.to_dense()))
     assert trace_inv_exact_cholesky(M).value == pytest.approx(eig_sum, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["n_v", "degree", "identity"])
+def test_fractional_count_refused(name):
+    # 2.9 was once truncated to 2; numpy integers stay counts
+    A = SpdMatrix.from_dense(np.diag([1.0, 2.0, 4.0]))
+
+    def run(value):
+        if name == "identity":
+            return SpdMatrix.identity(value).n
+        return estimate_trace_inv(A, "slq", seed=0, **{"n_v": 2, "degree": 2, name: value}).value
+
+    with pytest.raises(InvalidShape, match="whole"):
+        run(2.9)
+    assert run(np.int64(2)) == run(2)

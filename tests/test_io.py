@@ -3,7 +3,7 @@ import pytest
 import scipy.io
 import scipy.sparse
 
-from traceinv import InvalidShape, SpdMatrix, grid_points
+from traceinv import InvalidShape, SpdMatrix, grid_points, shifted_operand
 from traceinv.io import load_matrix, load_points, save_matrix, save_points
 
 
@@ -35,6 +35,15 @@ def test_sparse_matrix_market_round_trip(tmp_path):
     assert B.kind == "dense"
     assert isinstance(B.data, np.ndarray)
     np.testing.assert_array_equal(B.to_dense(), dense)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".mtx"])
+def test_shifted_operand_saves_its_entries(tmp_path, suffix):
+    # the shift is part of the operand: A + t*I is written, not A
+    A = SpdMatrix.from_dense([[2.0, 0.5], [0.5, 1.0]])
+    path = tmp_path / f"a{suffix}"
+    save_matrix(path, shifted_operand(A, None, 0.25))
+    np.testing.assert_array_equal(load_matrix(path).to_dense(), [[2.25, 0.5], [0.5, 1.25]])
 
 
 def test_point_cloud_round_trip(tmp_path):
