@@ -29,10 +29,12 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _thread_count(text):  # OpenBLAS reads 0 or less as every core, not as a cap
-    if (count := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _int_at_least(low):
+    def integer(text):  # argparse names it in the message for a non-integer
+        if (count := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {count}")
+        return count
+    return integer
 
 
 def _choice_list(*choices):
@@ -242,9 +244,9 @@ def cmd_gp(args, argv):
 def cmd_gcv(args, argv):
     from .estimators import prepare_trace
     from .experiments import (
+        gcv_curve,
         gcv_experiment,
         gcv_theta_grid,
-        gcv_value,
         make_gcv_problem,
         relative_log_theta_error,
     )
@@ -275,11 +277,10 @@ def cmd_gcv(args, argv):
     if args.curve_points > 0:
         thetas = gcv_theta_grid(problem, count=args.curve_points)
         ts = problem.n * thetas - problem.s  # the trace argument gcv_value uses
-        taus = [est.value / problem.m for est in
-                prepare_trace(problem.shifted_gram)(ts)]
-        rows_csv = [[float(th), gcv_value(problem, th, lambda _t, tau=tau: tau)]
-                    for th, tau in zip(thetas, taus)]
-        _write_csv(out / "gcv_curve.csv", ["theta", "v_exact"], rows_csv)
+        tau_at = {t: est.value / problem.m
+                  for t, est in zip(ts.tolist(), prepare_trace(problem.shifted_gram)(ts))}
+        _write_csv(out / "gcv_curve.csv", ["theta", "v_exact"],
+                   zip(thetas, gcv_curve(problem, thetas, tau_at.__getitem__)))
 
     _write_manifest(out, args, argv)
     for mode, res in results:
@@ -304,7 +305,7 @@ def build_parser():
         prog="traceinv",
         description="Evaluate and interpolate trace((A + t*B)^-1) for SPD matrices.",
     )
-    parser.add_argument("--threads", type=_thread_count, default=None,
+    parser.add_argument("--threads", type=_int_at_least(1), default=None,  # OpenBLAS: 0 = all
                         help="BLAS thread count (default: all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -374,7 +375,7 @@ def build_parser():
     p_gcv.add_argument("--nv", type=int, default=30)
     p_gcv.add_argument("--degree", type=int, default=30)
     p_gcv.add_argument("--de-seed", type=int, default=0)
-    p_gcv.add_argument("--max-generations", type=int, default=200,
+    p_gcv.add_argument("--max-generations", type=_int_at_least(0), default=200,
                        help="optimizer budget; the search stops earlier once the "
                             "population's scores agree")
     p_gcv.add_argument("--curve-points", type=int, default=0,

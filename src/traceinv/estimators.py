@@ -14,13 +14,14 @@ reproducible and independent of the order in which samples are processed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 
 from .exceptions import InvalidShape, NotPositiveDefinite
 from .matrices import (PIVOT_RTOL, SpdMatrix, checked_count, checked_orders, checked_shift,
-                       cholesky, forward_solve, inverse_factor, shifted_array)
+                       cholesky, forward_solve, inverse_factor, lapack_map, shifted_array)
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
 PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
@@ -256,16 +257,15 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
                   degree=30, seed=0):
     """Back-end ts -> [estimate of trace((A + t*B)^-1) for t in ts], the only loop over t.
 
-    B = None means B = I. This is the one reader of a method name: the
-    method, and the seed, n_v and degree it uses, are checked before any
-    work, and every shift of a call is checked finite before any is
-    computed. ``method="eigen"`` does its one eigensolve here, so each later
-    shift costs O(n); every method computes each distinct shift once, kept
-    across calls. The seed names one probe set, drawn at every shift, so a
-    repeated shift needs no second estimate and a stochastic sweep
-    decreases in t. The back-end's ``trace_b_inv``, taken here, is
-    trace(B^-1): n for B = I, from the pencil's eigenvectors for eigen,
-    and otherwise the same estimator and probe set applied to B.
+    B = None means B = I. This is the one reader of a method name: the method, and the
+    seed, n_v and degree it uses, are checked before any work, and every shift of a call
+    is checked finite before any is computed. ``method="eigen"`` does its one eigensolve
+    here, so each later shift costs O(n); every method computes each distinct shift once,
+    kept across calls, and a call's new Cholesky shifts side by side (``matrices.lapack_map``,
+    bit for bit). The seed names one probe set, drawn at every shift, so a repeated shift
+    needs no second estimate and a stochastic sweep decreases in t. The back-end's
+    ``trace_b_inv``, taken here, is trace(B^-1): n for B = I, from the pencil's
+    eigenvectors for eigen, and otherwise the same estimator and probe set applied to B.
     """
     checked_orders(A, B)  # refuses a B of another order before any work
     # Estimators are looked up at call time, so wrappers put on the module see each call.
@@ -293,9 +293,9 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
 
     def backend(ts):
         ts = [checked_shift(t) for t in ts]
-        for t in ts:
-            if t not in estimates:
-                estimates[t] = estimate(A, B, t)
+        new, at = [t for t in dict.fromkeys(ts) if t not in estimates], partial(estimate, A, B)
+        computed = lapack_map(at, new, A.n) if method == "cholesky" else map(at, new)
+        estimates.update(zip(new, computed))
         return [estimates[t] for t in ts]
     if B is None or B.is_identity:
         backend.trace_b_inv = float(A.n)

@@ -314,14 +314,14 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
                    max_generations=200, nodes=None) -> OptimizationResult:
     """Minimize V(theta) by differential evolution over log10(theta).
 
-    One trace back-end serves the whole search (``t_tr`` includes its
-    preparation). ``interpolation=None`` evaluates tau with it at every
-    optimizer step. ``interpolation=p`` first computes tau0 plus tau at 2p
-    nodes with it, fits a rational interpolant, and runs the optimizer
-    against the interpolant alone, so the number of exact trace evaluations
-    is exactly 2p + 1. Either way every trace evaluation uses the probe set
-    ``trace_seed``, so with a stochastic method the objective is a
-    deterministic function of theta.
+    One trace back-end serves the whole search (``t_tr`` includes its preparation).
+    Each objective call scores a DE generation: one call of the tau source, then
+    ``gcv_value`` per point. ``interpolation=None`` takes tau from the back-end.
+    ``interpolation=p`` first computes tau0 plus tau at 2p nodes with it, fits a
+    rational interpolant, and runs the optimizer against the interpolant alone, so
+    the number of exact trace evaluations is exactly 2p + 1. Every trace evaluation
+    uses the probe set ``trace_seed``, so with a stochastic method the objective is
+    a deterministic function of theta.
 
     A lower theta bound that leaves X^T X + n*theta*I indefinite is refused
     before any back-end is prepared.
@@ -349,9 +349,7 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
     if interpolation is None:
         (tau0,) = backend_taus([0.0])
         node_arr = ()
-
-        def optimizer_tau(t):
-            return backend_taus([t])[0]
+        optimizer_taus = backend_taus
     else:
         p = int(interpolation)
         if nodes is None:
@@ -365,10 +363,12 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
         ctx = TauContext(A=A, B=None, tau0=tau0, trace_b_inv=float(problem.m),
                          n=problem.m, t_min=-problem.s, backend=backend)
         pts = InterpolantPoints(ts=np.array(node_arr), taus=np.array(taus))
-        optimizer_tau = fit_rational(ctx, pts, p, eval_domain=problem.t_range())
+        optimizer_taus = fit_rational(ctx, pts, p, eval_domain=problem.t_range())
 
-    def objective(x):
-        return gcv_value(problem, 10.0**x, optimizer_tau)
+    def objective(xs):
+        thetas = 10.0**xs
+        ts = problem.n * thetas - problem.s  # the trace arguments gcv_value forms
+        return gcv_curve(problem, thetas, dict(zip(ts.tolist(), optimizer_taus(ts))).__getitem__)
 
     de = differential_evolution(objective, (np.log10(lo), np.log10(hi)),
                                 popsize=popsize, max_generations=max_generations,

@@ -14,6 +14,7 @@ import functools
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -40,6 +41,8 @@ PIVOT_RTOL = 1e-14
 # twice the CPU, so 1024 stays.
 ONE_THREAD_MAX_ORDER = 1024
 _BLAS_THREADS_LOCK = threading.RLock()
+_LENT = threading.local()  # .held: this thread runs for a lapack_threads block another holds
+_POOLS = {}  # process id -> lapack_map's threads (a forked child has none of its parent's)
 
 
 @functools.cache
@@ -64,21 +67,59 @@ def _openblas_thread_counts():
 
 @contextmanager
 def lapack_threads(n):
-    """Run the block on one BLAS thread when n < ONE_THREAD_MAX_ORDER.
-
-    The count is process-wide, so such blocks take turns across Python
-    threads, and other BLAS work done meanwhile also gets one thread.
-    """
-    controls = _openblas_thread_counts() if n < ONE_THREAD_MAX_ORDER else ()
+    """Run the block on one BLAS thread when n < ONE_THREAD_MAX_ORDER; yields the smallest
+    count it replaced (None if none). The count is process-wide, so such blocks take turns
+    across Python threads under one lock, and other BLAS work meanwhile gets one thread too.
+    On a thread ``lapack_map`` lends to a held block, it switches and locks nothing."""
+    lent = getattr(_LENT, "held", False)
+    controls = _openblas_thread_counts() if n < ONE_THREAD_MAX_ORDER and not lent else ()
     with _BLAS_THREADS_LOCK if controls else nullcontext():
         saved = [(set_count, get()) for get, set_count in controls]
         for set_count, _ in saved:
             set_count(1)
         try:
-            yield
+            yield min((count for _, count in saved), default=None)
         finally:
             for set_count, count in saved:
                 set_count(count)
+
+
+def _batch_width(blas_threads, count):  # usable CPUs, at most the BLAS count it replaced
+    return min(len(os.sched_getaffinity(0)), blas_threads, count)
+
+
+def lapack_map(fn, items, n):
+    """``map(fn, items)``, where fn runs LAPACK of order n. Two items or more, n below
+    ONE_THREAD_MAX_ORDER and a switchable BLAS make a batch in one ``lapack_threads`` block:
+    item k on thread k mod w (``_batch_width``), thread 0 the caller and the rest from one
+    pool, each making the calls ``map`` would, so the same bits. All threads end before the
+    block does; then the first failing item's error in order is raised."""
+    if len(items) < 2 or n >= ONE_THREAD_MAX_ORDER or not _openblas_thread_counts():
+        return map(fn, items)
+    results, errors = [None] * len(items), {}
+
+    def run(first):  # items first, first + width, ... up to the first that raises
+        _LENT.held = True
+        try:
+            for k in range(first, len(items), width):
+                results[k] = fn(items[k])
+        except Exception as exc:
+            errors[k] = exc
+        finally:
+            _LENT.held = False
+    with lapack_threads(n) as blas_threads:
+        width = _batch_width(blas_threads, len(items))
+        if width > 1 and os.getpid() not in _POOLS:
+            _POOLS[os.getpid()] = ThreadPoolExecutor(len(os.sched_getaffinity(0)), "lapack_map")
+        futures = [_POOLS[os.getpid()].submit(run, first) for first in range(1, width)]
+        try:
+            run(0)
+        finally:
+            for future in futures:
+                future.result()  # waits; raises only what run lets through
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # Diagonal blocks of at most this order go to LAPACK dpotrf and dtrtri. Leaves

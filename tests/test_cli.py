@@ -218,6 +218,16 @@ def test_threads_below_one_refused(tmp_path, capsys, count):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("count", ["-1", "-3"])
+def test_negative_max_generations_refused(tmp_path, capsys, count):
+    with pytest.raises(SystemExit) as refused:
+        main(["gcv-experiment", "--n", "40", "--m", "20", "--max-generations", count,
+              "--out", str(tmp_path / "o")])
+    assert refused.value.code == 2
+    assert "--max-generations: must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports this same traceinv package."""
     src = str(Path(traceinv.__file__).resolve().parents[1])

@@ -1,5 +1,10 @@
 import functools
 import math
+import multiprocessing
+import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from traceinv.estimators import lanczos, trace_inv_exact_eigen
 from traceinv.matrices import cholesky, inverse_factor
 
 import traceinv.estimators
+import traceinv.matrices as matrices
 from conftest import lower_factor, spd_from_eigenvalues, traced_extra_bytes, traced_peak_bytes
 
 
@@ -518,6 +524,151 @@ class TestDistinctShifts:
         for A, sweep in zip(operands, sweeps):
             assert sweep == [trace_inv_exact_cholesky(shifted_operand(A, SpdMatrix.identity(6),
                                                                      t)).value for t in ts]
+
+
+def needs_switchable_blas():
+    if not matrices._openblas_thread_counts():
+        pytest.skip("no OpenBLAS thread control found in this process")
+
+
+@functools.cache
+def batch_operand(n):
+    rng = np.random.default_rng(n)
+    return spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1, 1, n))[0]
+
+
+def two_wide(blas_threads, count):
+    """A batch width for the side-by-side path on any runner: the caller and one pool thread."""
+    return min(2, count)
+
+
+def forked_batch():
+    return [e.value for e in prepare_trace(batch_operand(129))([0.1, 0.2, 0.3])]
+
+
+BATCH_SHIFTS = st.sampled_from((0.0, 1e-3, 0.25, 1.0, 100.0)) | st.floats(0.0, 100.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2, 128, 129, 300)), st.lists(BATCH_SHIFTS, min_size=2, max_size=12),
+       st.integers(2, 4))
+def test_property_batch_matches_per_shift_traces(n, ts, width):
+    needs_switchable_blas()
+    A = batch_operand(n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "_batch_width", lambda blas_threads, count: min(width, count))
+        batch = prepare_trace(A)(ts)
+    serial = [trace_inv_exact_cholesky(A, None, t) for t in ts]
+    assert [e.value.hex() for e in batch] == [e.value.hex() for e in serial]
+
+
+class TestExactBatch:
+    """A call's new exact shifts below ONE_THREAD_MAX_ORDER run side by side (lapack_map)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(shift, thread, "start" | "end") for each exact trace, with ``delay``: seconds to
+        sleep before the trace at a shift."""
+        needs_switchable_blas()
+        log, delay, real = [], {}, traceinv.estimators.trace_inv_exact_cholesky
+
+        def recording(A, B=None, t=0.0):
+            log.append((t, threading.get_ident(), "start"))
+            time.sleep(delay.get(t, 0.0))
+            try:
+                return real(A, B, t)
+            finally:
+                log.append((t, threading.get_ident(), "end"))
+        monkeypatch.setattr(traceinv.estimators, "trace_inv_exact_cholesky", recording)
+        return log, delay
+
+    @staticmethod
+    def threads_of(calls):
+        return {t: ident for t, ident, event in calls[0] if event == "start"}
+
+    def test_shifts_interleave_over_the_caller_and_a_pool_thread(self, monkeypatch, calls):
+        monkeypatch.setattr(matrices, "_batch_width", two_wide)
+        ts = [0.1, 0.2, 0.3, 0.4, 0.5]
+        prepare_trace(batch_operand(129))(ts)
+        thread_of, me = self.threads_of(calls), threading.get_ident()
+        assert [thread_of[t] == me for t in ts] == [True, False, True, False, True]
+
+    def test_one_blas_thread_starts_no_pool_thread(self, calls):
+        controls = matrices._openblas_thread_counts()
+        saved = [get() for get, _ in controls]
+        for _, set_count in controls:
+            set_count(1)
+        try:
+            prepare_trace(batch_operand(129))([0.1, 0.2, 0.3, 0.4])
+        finally:
+            for (_, set_count), count in zip(controls, saved):
+                set_count(count)
+        assert set(self.threads_of(calls).values()) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("order, ts", [(129, [0.1]), (1100, [0.1, 0.2])])
+    def test_one_shift_or_a_large_order_stays_serial(self, monkeypatch, calls, order, ts):
+        monkeypatch.setattr(matrices, "_batch_width", two_wide)
+        A = SpdMatrix.from_dense(np.diag(np.linspace(1.0, 2.0, order)))
+        prepare_trace(A)(ts)
+        assert set(self.threads_of(calls).values()) == {threading.get_ident()}
+
+    def test_first_failing_shift_in_order_raises_after_every_thread_ends(self, monkeypatch,
+                                                                          calls):
+        A = SpdMatrix.from_dense(np.diag(np.arange(40.0, 0.0, -1.0)))  # eigenvalues 1..40
+        messages = {}
+        for t in (-1.0, -10.5):  # one zero pivot, or ten negative ones: different messages
+            with pytest.raises(NotPositiveDefinite) as serial:
+                trace_inv_exact_cholesky(A, None, t)
+            messages[t] = str(serial.value)
+        assert messages[-1.0] != messages[-10.5]
+        monkeypatch.setattr(matrices, "_batch_width", two_wide)
+        controls = matrices._openblas_thread_counts()
+        before = [get() for get, _ in controls]
+        # the pool thread's -10.5 comes first in order but fails after the caller's -1.0
+        log, delay = calls
+        delay[-10.5] = 0.2
+        with pytest.raises(NotPositiveDefinite, match=re.escape(messages[-10.5])):
+            prepare_trace(A)([0.5, -10.5, -1.0, 2.0])
+        starts = sorted(t for t, _, event in log if event == "start")
+        assert starts == sorted(t for t, _, event in log if event == "end") == [-10.5, -1.0, 0.5]
+        assert [get() for get, _ in controls] == before
+        acquired = []
+
+        def take_lock():
+            if matrices._BLAS_THREADS_LOCK.acquire(timeout=10):
+                acquired.append(True)
+                matrices._BLAS_THREADS_LOCK.release()
+        other = threading.Thread(target=take_lock)
+        other.start()
+        other.join(timeout=20)
+        assert not other.is_alive() and acquired == [True]
+
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        # the child has none of the parent's pool threads; handing it the parent's pool
+        # would queue its batch on a thread that does not exist
+        needs_switchable_blas()
+        monkeypatch.setattr(matrices, "_batch_width", two_wide)
+        expected = forked_batch()  # starts this process's pool
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(forked_batch).get(timeout=60) == expected
+
+    def test_many_threads_with_fast_switching_give_serial_bits(self, monkeypatch):
+        # more threads than a small runner's cores, switching every microsecond
+        needs_switchable_blas()
+        monkeypatch.setattr(matrices, "_batch_width", lambda blas_threads, count: min(4, count))
+        A, ts = batch_operand(129), list(np.linspace(0.0, 5.0, 40))
+        batches, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: batches.append(prepare_trace(A)(ts)),
+                                      daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        serial = [trace_inv_exact_cholesky(A, None, t).value.hex() for t in ts]
+        assert [e.value.hex() for e in batches[0]] == serial
 
 
 @settings(max_examples=25, deadline=None)

@@ -333,7 +333,8 @@ class TestGcvExperiment:
         assert sweep_log.index(("de",)) == 2  # tau0 comes first
         assert sweeps[0][0] == [0.0]
         assert [seed for _, seed, _ in sweeps] == [7] * len(sweeps)
-        assert all(len(ts) == 1 for ts, _, _ in sweeps)
+        # after tau0, one call per generation (the initial population's and two more)
+        assert [len(ts) for ts, _, _ in sweeps[1:]] == [4] * 3
         assert sum(count for _, _, count in sweeps) == res.n_tr == res.n_tot
 
     def test_exact_mode_factors_each_distinct_theta_once(self, small_problem, sweep_log,
