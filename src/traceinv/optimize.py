@@ -54,7 +54,7 @@ def differential_evolution(objective, bounds, popsize=40, max_generations=200,
 
     rng = np.random.default_rng(seed)
     pop = rng.uniform(lo, hi, size=popsize)
-    fitness = scores(pop)
+    fitness = scores(pop.copy())  # the objective may keep what it is given
     best, generation = int(np.argmin(fitness)), 0
     while True:
         spread = float(np.std(fitness))

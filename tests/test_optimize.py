@@ -66,11 +66,12 @@ def test_unconverged_flagged():
 
 def test_generation_draws_from_population_at_its_start():
     # Generational selection: a generation's trials are all scored before any
-    # replaces its parent, so the trials of one call never see each other.
+    # replaces its parent, so the trials of one call never see each other. The
+    # objective keeps the arrays it is given; selection must not change them.
     calls = []
 
     def objective(xs):
-        calls.append(xs.copy())
+        calls.append(xs)
         return (xs - 0.3) ** 2
 
     result = differential_evolution(objective, (-1.0, 1.0), popsize=5,
