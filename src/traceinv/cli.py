@@ -56,6 +56,8 @@ def _parse_sweep(text):
     spacing = parts[3] if len(parts) == 4 else "log"
     if spacing not in ("log", "lin"):
         raise argparse.ArgumentTypeError("sweep spacing must be 'log' or 'lin'")
+    if count < 1 or (spacing == "log" and lo <= 0.0):
+        raise argparse.ArgumentTypeError(f"needs COUNT >= 1, and MIN > 0 if log; got {text}")
     return lo, hi, count, spacing
 
 
@@ -328,7 +330,7 @@ def build_parser():
     _add_matrix_options(p_interp)
     p_interp.add_argument("--variant", choices=("bound", "basis", "rational"),
                           default="basis")
-    p_interp.add_argument("--p", type=int, default=3, help="interpolation order")
+    p_interp.add_argument("--p", type=_int_at_least(0), default=3, help="interpolation order")
     p_interp.add_argument("--nodes", type=_float_list, default=None, metavar="LIST")
     p_interp.add_argument("--method", default="cholesky",
                           choices=("cholesky", "eigen", "hutchinson", "slq"))
@@ -378,7 +380,7 @@ def build_parser():
     p_gcv.add_argument("--max-generations", type=_int_at_least(0), default=200,
                        help="optimizer budget; the search stops earlier once the "
                             "population's scores agree")
-    p_gcv.add_argument("--curve-points", type=int, default=0,
+    p_gcv.add_argument("--curve-points", type=_int_at_least(0), default=0,
                        help="also emit a V(theta) curve with this many points")
     for flag, kw in common.items():
         p_gcv.add_argument(flag, **kw)

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .exceptions import InvalidShape, NotPositiveDefinite
 from .matrices import (PIVOT_RTOL, SpdMatrix, checked_count, checked_orders, checked_shift,
-                       cholesky, forward_solve, inverse_factor, lapack_map, shifted_array)
+                       _packed_shift, cholesky, forward_solve, inverse_factor, lapack_map)
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
 PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
@@ -76,23 +76,23 @@ class LanczosTriDiag:
 
 
 def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
-    """A + t*B (B = None means B = I) as a dense operand, never re-scanned for symmetry.
+    """A + t*B (B = None means B = I) as a packed operand, never re-scanned for symmetry.
 
-    For a dense A and B = I it is O(1): A's own array, carrying the shift
+    For a packed A and B = I it is O(1): A's own array, carrying the shift
     A.shift + t, which every reader adds (so shifts compose as one sum).
-    A dense B, or an identity A, gets one fresh array from ``shifted_array``.
+    A stored B, or an identity A, gets one fresh packed array from ``_packed_shift``.
     """
-    if A.kind == "dense" and (B is None or B.is_identity):
+    if A.kind == "packed" and (B is None or B.is_identity):
         checked_orders(A, B)
-        return SpdMatrix(A.n, "dense", A.data, A.shift + checked_shift(t))
-    return SpdMatrix(A.n, "dense", shifted_array(A, B, t))
+        return SpdMatrix(A.n, "packed", A.data, A.shift + checked_shift(t))
+    return SpdMatrix(A.n, "packed", _packed_shift(A, B, t)[0])
 
 
 def trace_inv_exact_cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> TraceEstimate:
     """trace(M^-1) as the squared Frobenius norm of L^-1 from M = A + t*B = L L^T.
 
     B = None means B = I. ``inverse_factor`` returns U^-1 = L^-T packed in one fresh array
-    of n(n+1)/2 entries (a dense B adds one packed temporary): each entry of L^-1 once and
+    of n(n+1)/2 entries (a stored B adds one packed temporary): each entry of L^-1 once and
     no zeros, squared in place and summed by numpy's pairwise reduction on one thread (a
     BLAS dot would wake numpy's own thread pool).
     """
@@ -224,7 +224,7 @@ def trace_inv_slq(A: SpdMatrix, n_v, degree, seed, B: SpdMatrix | None = None,
     """Stochastic Lanczos quadrature estimate of trace(M^-1) of M = A + t*B.
 
     B = None means B = I. M is ``shifted_operand``'s: for B = I that is A's
-    own array with a diagonal shift, and a dense B is added into a fresh
+    own array with a diagonal shift, and a stored B is added into a fresh packed
     array only when t != 0 (at t = 0 the recurrences run on A itself). Each
     Rademacher probe is normalized to a unit start vector, and each probe
     block is one ``lanczos`` call. The Gauss quadrature weights w_j are the

@@ -41,6 +41,7 @@ from .matrices import (
     SpdMatrix,
     build_design_matrix,
     build_exponential_kernel,
+    checked_count,
     grid_points,
     random_points,
 )
@@ -124,11 +125,11 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     if side**2 > 10**4:
         raise InvalidShape("side^2 is limited to 10^4 (desk scale)")
     points = grid_points(side) if sampling == "grid" else random_points(side**2, seed)
+    ts = np.logspace(np.log10(sweep[0]), np.log10(sweep[1]), checked_count("sweep count", sweep[2]))
     K = build_exponential_kernel(points, rho)
     n = K.n
     ctx = compute_tau_context(K)
 
-    ts = np.logspace(np.log10(sweep[0]), np.log10(sweep[1]), int(sweep[2]))
     tau_exact = np.array([e.value for e in ctx.backend(ts)]) / n
     upper = tau_upper_bound(ts, ctx.tau0)
     lower = tau_lower_bound(ts, K.trace(), float(n), n) / n  # unit diagonal: 1/(1+t)
@@ -200,7 +201,7 @@ class GcvProblem:
 
     @cached_property
     def shifted_gram(self) -> SpdMatrix:
-        """X^T X + s*I, sharing ``gram``'s array (X.T @ X is computed exactly symmetric)."""
+        """X^T X + s*I: ``gram`` (exactly symmetric) packed once, carrying the shift s."""
         return shifted_operand(SpdMatrix.from_dense(self.gram), None, self.s)
 
     def tau_context(self, method="cholesky", n_v=30, degree=30, seed=0) -> TauContext:

@@ -6,8 +6,8 @@ Two matrix formats are supported, chosen by file extension:
   (lower triangle only).
 * ``.csv`` — dense full matrix, one row per line, comma separated.
 
-Matrices load into dense storage, which is what every factorization
-downstream works on: a ``.mtx`` file is expanded once, here.
+Matrices load into packed storage: each file is read into one dense array (a
+``.mtx`` file expanded), checked and packed by ``SpdMatrix.from_dense``.
 
 Point clouds are CSV with one ``x,y`` pair per line.
 """

@@ -19,7 +19,6 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.blas
 import scipy.linalg.cython_blas
 import scipy.linalg.cython_lapack
 
@@ -149,7 +148,9 @@ _ONE, _MINUS_ONE = ctypes.c_double(1.0), ctypes.c_double(-1.0)  # alpha and beta
 # dtrtri(uplo, diag, n, a, lda, info), dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda,
 # b, ldb), dtrttf(transr, uplo, n, a, lda, arf, info), dpftrf(transr, uplo, n, a, info),
 # dtfsm(transr, side, uplo, trans, diag, m, n, alpha, a, b, ldb), dpotrf(uplo, n, a, lda,
-# info) and dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
+# info), dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc), dtfttr(transr, uplo, n, arf,
+# a, lda, info), dgemm(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) and
+# dsymm(side, uplo, m, n, alpha, a, lda, b, ldb, beta, c, ldc)
 _dtrtri = _cython_routine(scipy.linalg.cython_lapack, "dtrtri",
                           _CHAR, _CHAR, _INT, _ADDRESS, _INT, _INT)
 _dtrmm = _cython_routine(scipy.linalg.cython_blas, "dtrmm", _CHAR, _CHAR, _CHAR, _CHAR, _INT,
@@ -162,6 +163,12 @@ _dsyrk = _cython_routine(scipy.linalg.cython_blas, "dsyrk", _CHAR, _CHAR, _INT, 
                          _ADDRESS, _INT, _DOUBLE, _ADDRESS, _INT)
 _dtfsm = _cython_routine(scipy.linalg.cython_lapack, "dtfsm", _CHAR, _CHAR, _CHAR, _CHAR, _CHAR,
                          _INT, _INT, _DOUBLE, _ADDRESS, _ADDRESS, _INT)
+_dtfttr = _cython_routine(scipy.linalg.cython_lapack, "dtfttr",
+                          _CHAR, _CHAR, _INT, _ADDRESS, _ADDRESS, _INT, _INT)
+_dgemm = _cython_routine(scipy.linalg.cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT,
+                         _DOUBLE, _ADDRESS, _INT, _ADDRESS, _INT, _DOUBLE, _ADDRESS, _INT)
+_dsymm = _cython_routine(scipy.linalg.cython_blas, "dsymm", _CHAR, _CHAR, _INT, _INT, _DOUBLE,
+                         _ADDRESS, _INT, _ADDRESS, _INT, _DOUBLE, _ADDRESS, _INT)
 
 
 def packed_diagonal(n):
@@ -219,6 +226,36 @@ def _factor_invert(uplo, address, ld, order):
     return 0
 
 
+# Symmetric triangles of at most this order go whole to dsymm in ``SpdMatrix.matvec``, larger
+# ones split in halves: at n = 2500 leaves of order 625 (2 cores, OpenBLAS 0.3.31).
+SYMMETRIC_LEAF_ORDER = 1024
+
+
+def _off_diagonal_product(X, ld, rows, cols, Z, Y, r, c):
+    """Y[r:r + rows] += X Z[c:c + cols] and Y[c:c + cols] += X^T Z[r:r + rows], two dgemm, for
+    the rows x cols block X (leading dimension ld) of a symmetric matrix; Z and Y F-ordered."""
+    ldz, width, m, k = map(ctypes.c_int, (*Z.shape, rows, cols))
+    z, y = Z.ctypes.data, Y.ctypes.data
+    _dgemm(b"N", b"N", m, width, k, _ONE, X, ld, z + 8 * c, ldz, _ONE, y + 8 * r, ldz)
+    _dgemm(b"T", b"N", k, width, m, _ONE, X, ld, z + 8 * r, ldz, _ONE, y + 8 * c, ldz)
+
+
+def _symmetric_product(uplo, a, ld, order, Z, Y, r):
+    """Y[r:r + order] += T Z[r:r + order] for the symmetric T whose uplo triangle is at a:
+    dsymm up to SYMMETRIC_LEAF_ORDER, else each half recursed on and joined (dgemm)."""
+    if order <= SYMMETRIC_LEAF_ORDER:
+        ldz, width = map(ctypes.c_int, Z.shape)
+        return _dsymm(b"L", uplo, ctypes.c_int(order), width, _ONE, a, ld, Z.ctypes.data + 8 * r,
+                      ldz, _ONE, Y.ctypes.data + 8 * r, ldz)
+    half, rest = order // 2, order - order // 2
+    if uplo == b"U":  # T12 above the second half
+        _off_diagonal_product(a + 8 * half * ld.value, ld, half, rest, Z, Y, r, r + half)
+    else:  # T21 left of it
+        _off_diagonal_product(a + 8 * half, ld, rest, half, Z, Y, r + half, r)
+    _symmetric_product(uplo, a, ld, half, Z, Y, r)
+    _symmetric_product(uplo, a + 8 * half * (ld.value + 1), ld, rest, Z, Y, r + half)
+
+
 def _is_symmetric(a, tol):
     """max |a - a^T| <= tol for a finite square array, one tile pair at a time.
 
@@ -240,26 +277,25 @@ def _is_symmetric(a, tol):
 class SpdMatrix:
     """Symmetric positive-definite operand: data + shift * I.
 
-    Storage is a dense array or an implicit identity (no stored entries),
-    plus a diagonal shift that every reader adds, so A + t*I shares A's
-    array (``estimators.shifted_operand``). Positive definiteness is not
-    checked at construction; it surfaces as :class:`NotPositiveDefinite`
-    at factorization time.
+    Storage is packed (one triangle, n(n+1)/2 doubles in ``cholesky``'s storage, see
+    ``packed_diagonal``) or an implicit identity (no stored entries), plus a diagonal shift
+    that every reader adds, so A + t*I shares A's array (``estimators.shifted_operand``).
+    Positive definiteness surfaces as :class:`NotPositiveDefinite` at factorization time.
     """
 
     n: int
-    kind: str  # "dense" | "identity"
+    kind: str  # "packed" | "identity"
     data: object = field(repr=False, default=None)
     shift: float = 0.0
 
+    def __post_init__(self):  # the BLAS routines take data by address, so its size is checked
+        if self.kind == "packed" and _packed_order(self.data) != self.n:
+            raise InvalidShape(f"packed data does not hold a triangle of order {self.n}")
+
     @classmethod
     def from_dense(cls, array):
-        """Operand stored as a C-ordered float array, checked finite and symmetric.
-
-        The operand keeps ``array`` itself when it is already a C-ordered
-        float64 array (the caller's later writes show through), and one
-        copy otherwise. The checks allocate one small tile, nothing n x n.
-        """
+        """The lower triangle of a square array checked finite and symmetric, packed by one
+        dtrttf into a fresh array; the checks allocate one small tile, nothing n x n."""
         array = np.ascontiguousarray(array, dtype=float)
         if array.ndim != 2 or array.shape[0] != array.shape[1] or not array.size:
             raise InvalidShape(f"expected a non-empty square matrix, got shape {array.shape}")
@@ -269,7 +305,9 @@ class SpdMatrix:
         scale = max(high, -low) or 1.0
         if not _is_symmetric(array, SYMMETRY_RTOL * scale):
             raise InvalidShape("matrix is not symmetric within tolerance")
-        return cls(n=array.shape[0], kind="dense", data=array)
+        n, packed = ctypes.c_int(len(array)), np.empty((array.size + len(array)) // 2)
+        _dtrttf(b"N", b"U", n, array.ctypes.data, n, packed.ctypes.data, ctypes.c_int(0))
+        return cls(n=n.value, kind="packed", data=packed)
 
     @classmethod
     def identity(cls, n):
@@ -280,29 +318,34 @@ class SpdMatrix:
         return self.kind == "identity"
 
     def to_dense(self):
-        """The entries: the stored array itself when unshifted, else a fresh array."""
-        if self.kind == "dense" and not self.shift:
-            return self.data
-        dense = np.eye(self.n) if self.is_identity else self.data.copy()
-        dense[np.diag_indices(self.n)] += self.shift
+        """The entries in a fresh C-ordered array: ``_packed`` unpacked by dtfttr, then mirrored."""
+        dense, n, packed = np.zeros((self.n, self.n)), ctypes.c_int(self.n), _packed(self)
+        _dtfttr(b"N", b"U", n, packed.ctypes.data, dense.ctypes.data, n, ctypes.c_int(0))
+        dense += np.triu(dense.T, 1)
         return dense
 
     def diagonal(self):
-        return (np.ones(self.n) if self.is_identity else np.diag(self.data)) + self.shift
+        stored = np.ones(self.n) if self.is_identity else self.data[packed_diagonal(self.n)]
+        return stored + self.shift
 
     def trace(self):
         return float(self.diagonal().sum())
 
     def matvec(self, v):
-        """Product with a vector (n,) or a block (n, b): one scipy dgemm of the
-        F-ordered view data^T, transposed, so data and an F-ordered block are not copied,
-        then shift times the block added."""
+        """Product with a vector (n,) or a block (n, b), F-ordered (else copied): two dgemm on
+        the packed square block, ``_symmetric_product`` on each triangle, plus shift * block."""
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n:
             raise DimensionMismatch(f"vector length {v.shape[0]} != order {self.n}")
-        block = v.reshape(self.n, -1)
-        product = (block.copy() if self.is_identity
-                   else scipy.linalg.blas.dgemm(1.0, self.data.T, block, trans_a=1))
+        block = np.asfortranarray(v.reshape(self.n, -1))
+        if self.is_identity:
+            product = block.copy()
+        else:
+            product, n1 = np.zeros(block.shape, order="F"), self.n // 2
+            a, ld = self.data.ctypes.data, ctypes.c_int(2 * n1 + 1)
+            _off_diagonal_product(a, ld, n1, self.n - n1, block, product, 0, n1)
+            _symmetric_product(b"L", a + 8 * (n1 + 1), ld, n1, block, product, 0)
+            _symmetric_product(b"U", a + 8 * n1, ld, self.n - n1, block, product, n1)
         if self.shift:
             product += self.shift * block
         return product.reshape(v.shape)
@@ -332,45 +375,17 @@ def checked_shift(t) -> float:
     return t
 
 
-def shifted_array(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
-    """A + t*B (B = None means B = I) as a fresh C-ordered array the caller owns.
-
-    For B = I it is A's entries (one memcpy, A's shift added if it has one)
-    plus t on the diagonal; for a dense B it is t*B, then A's entries added
-    in place, which rounds exactly as A + t*B does. ``estimators.shifted_operand``
-    needs it only for a dense B or an identity A.
-    """
-    checked_orders(A, B)
-    t = checked_shift(t)
-    if B is None or B.is_identity:
-        shifted = A.to_dense()
-        if shifted is A.data:
-            shifted = shifted.copy()
-        shifted[np.diag_indices(A.n)] += t
-        return shifted
-    shifted = t * B.to_dense()
-    shifted += A.to_dense()
-    return shifted
-
-
 def _packed(S: SpdMatrix) -> np.ndarray:
-    """S's lower triangle, packed: the upper one of S's C-ordered entries read F-ordered,
-    then S's shift added on the packed diagonal, so a shifted S is never materialized."""
-    stored = np.eye(S.n) if S.is_identity else S.data  # S.to_dense() would add the shift
-    dense = np.ascontiguousarray(stored, dtype=np.float64)  # dtrttf reads its memory
-    packed = np.empty(S.n * (S.n + 1) // 2)
-    _dtrttf(b"N", b"U", ctypes.c_int(S.n), dense.ctypes.data, ctypes.c_int(S.n),
-            packed.ctypes.data, ctypes.c_int(0))
-    if S.shift:
-        packed[packed_diagonal(S.n)] += S.shift
+    """S's packed triangle in a fresh array, S's shift added on its diagonal."""
+    packed = np.zeros(S.n * (S.n + 1) // 2) if S.is_identity else S.data.copy()
+    packed[packed_diagonal(S.n)] += S.shift + S.is_identity  # an identity's ones, then shifted
     return packed
 
 
 def _packed_shift(A: SpdMatrix, B: SpdMatrix | None, t):
     """(A + t*B packed in one fresh array, its diagonal's positions, its largest diagonal
-    entry), B = None meaning B = I. Formed from the lower triangles of A and B, each with
-    its own shift (``_packed``): a dense B as t*B, then a packed A added, which rounds as
-    A + t*B does; for B = I each diagonal entry is (a_ii + A.shift) + t."""
+    entry), B = None meaning B = I. From ``_packed`` A and B, each with its shift: t*B, then A
+    added, which rounds as A + t*B does; for B = I each diagonal entry is (a_ii + A.shift) + t."""
     checked_orders(A, B)
     t, diagonal = checked_shift(t), packed_diagonal(A.n)
     if B is None or B.is_identity:
@@ -482,17 +497,31 @@ def random_points(count, seed) -> PointCloud:
     return PointCloud(coords=rng.uniform(0.0, 1.0, size=(int(count), 2)))
 
 
-def build_kernel(points: PointCloud, kernel_fn) -> SpdMatrix:
-    """Dense kernel matrix K_ij = kernel_fn(d_ij) over pairwise Euclidean distances.
+KERNEL_CHUNK = 64  # packed rows per step of ``build_kernel``, whose blocks hold < 64 n entries
 
-    ``kernel_fn`` receives the n x n distance array, which nothing else
-    holds, so it may overwrite it and return it as K.
+
+def build_kernel(points: PointCloud, kernel_fn) -> SpdMatrix:
+    """Packed kernel matrix K_ij = kernel_fn(d_ij) over pairwise Euclidean distances.
+
+    Row j of the packed array viewed as rows of 2 n1 + 1 (n1 = n // 2) is K[n1 + j, :n1 + j + 1]
+    then K[j, j:n1] (K21, K22's lower and K11's upper triangle), filled KERNEL_CHUNK rows at a
+    time by cdist on subsets of the points, the same bits as cdist on all of them. ``kernel_fn``
+    gets each distance block, which nothing else holds: it may overwrite and return it.
     """
     import scipy.spatial.distance  # ~85 ms to load, so only kernel builds pay it
-    dists = scipy.spatial.distance.cdist(points.coords, points.coords)
-    K = kernel_fn(dists)
-    np.fill_diagonal(K, kernel_fn(np.zeros(points.n)))
-    return SpdMatrix.from_dense(K)
+    P, n, n1, cdist = points.coords, points.n, points.n // 2, scipy.spatial.distance.cdist
+    packed = np.empty(n * (n + 1) // 2)
+    rows = packed.reshape(n - n1, 2 * n1 + 1)
+    for j0 in range(0, n - n1, KERNEL_CHUNK):
+        j1 = min(j0 + KERNEL_CHUNK, n - n1)
+        rows[j0:j1, :n1] = kernel_fn(cdist(P[n1 + j0:n1 + j1], P[:n1]))
+        lower = kernel_fn(cdist(P[n1 + j0:n1 + j1], P[n1:n1 + j1]))
+        upper = kernel_fn(cdist(P[j0:j1], P[j0:n1]))  # no columns once j0 >= n1
+        for i, j in enumerate(range(j0, j1)):
+            rows[j, n1:n1 + j + 1], rows[j, n1 + 1 + j:] = lower[i, :j + 1], upper[i, i:]
+        del lower, upper  # freed before the next blocks are made
+    packed[packed_diagonal(n)] = kernel_fn(np.zeros(n))
+    return SpdMatrix(n=n, kind="packed", data=packed)
 
 
 def build_exponential_kernel(points: PointCloud, rho) -> SpdMatrix:

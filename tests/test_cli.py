@@ -228,6 +228,28 @@ def test_negative_max_generations_refused(tmp_path, capsys, count):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("sweep", ["1e-2,1,0", "1e-2,1,-4,lin", "0,1,5", "-1,1,5,log"])
+def test_empty_or_invalid_sweep_refused(tmp_path, capsys, sweep):
+    # a count below 1 made an empty curve, and log spacing from MIN <= 0 made NaN shifts
+    with pytest.raises(SystemExit) as refused:
+        main(["gp-experiment", "--side", "4", f"--sweep={sweep}", "--out", str(tmp_path / "o")])
+    assert refused.value.code == 2
+    assert "--sweep: needs COUNT >= 1, and MIN > 0 if log" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["interpolate", "--kernel", "4,0.1", "--variant", "rational", "--p", "-1"],
+    ["gcv-experiment", "--n", "40", "--m", "20", "--curve-points", "-3"]],
+    ids=["p", "curve-points"])
+def test_negative_count_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as refused:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert refused.value.code == 2
+    assert f"{argv[-2]}: must be at least 0, got {argv[-1]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports this same traceinv package."""
     src = str(Path(traceinv.__file__).resolve().parents[1])

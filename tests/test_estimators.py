@@ -47,8 +47,11 @@ class TestShiftedOperand:
         A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 5))
         B, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 5))
         M = shifted_operand(A, B, 0.5)
-        assert M.data.flags.c_contiguous
-        assert M.data.tobytes() == (A.to_dense() + 0.5 * B.to_dense()).tobytes()
+        assert M.kind == "packed" and M.shift == 0.0
+        assert M.to_dense().tobytes() == (A.to_dense() + 0.5 * B.to_dense()).tobytes()
+        I = SpdMatrix.identity(5)
+        assert shifted_operand(I, B, 0.5).to_dense().tobytes() == \
+            (np.eye(5) + 0.5 * B.to_dense()).tobytes()
 
     @pytest.mark.parametrize("s", [0.0, 0.7])
     def test_identity_shift_adds_to_diagonal_only(self, rng, s):
@@ -57,7 +60,7 @@ class TestShiftedOperand:
         A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 40))
         I, t = SpdMatrix.identity(40), 0.3
         M = shifted_operand(shifted_operand(A, I, s) if s else A, I, t)
-        expected = A.data.copy()
+        expected = A.to_dense()
         expected[np.diag_indices(40)] += s + t
         assert M.data is A.data and M.shift == s + t
         dense = M.to_dense()
@@ -85,9 +88,9 @@ class TestShiftedOperand:
         shifted = shifted_operand(A, None, 0.7)
         M = shifted_operand(shifted, B, 0.5)
         assert M.shift == 0.0 and not np.shares_memory(M.data, A.data)
-        assert M.data.tobytes() == (shifted.to_dense() + 0.5 * B.to_dense()).tobytes()
-        again, expected = traceinv.matrices.shifted_array(shifted, None, 0.5), shifted.to_dense()
-        expected[np.diag_indices(5)] += 0.5  # (a_ii + 0.7) + 0.5, as the packed form rounds
+        assert M.to_dense().tobytes() == (shifted.to_dense() + 0.5 * B.to_dense()).tobytes()
+        again, expected = shifted_operand(shifted, None, 0.5).to_dense(), A.to_dense()
+        expected[np.diag_indices(5)] += 0.7 + 0.5  # the two shifts compose as one sum
         assert not np.shares_memory(again, A.data) and again.tobytes() == expected.tobytes()
 
     def test_makes_no_square_array(self, rng):

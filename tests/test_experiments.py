@@ -115,6 +115,11 @@ class TestGpExperiment:
         gp_experiment(side=8, p_values=(1, 9), sweep=(1e-4, 1e3, 3))
         assert cholesky_calls == [64] * 11
 
+    @pytest.mark.parametrize("count", [0, -2, 2.5])
+    def test_empty_sweep_refused(self, count):
+        with pytest.raises(InvalidShape, match="sweep count"):
+            gp_experiment(side=4, sweep=(1e-2, 1.0, count))
+
     def test_desk_scale_guard(self):
         with pytest.raises(Exception):
             gp_experiment(side=101)

@@ -26,14 +26,13 @@ def test_matrix_market_round_trip(tmp_path):
 
 
 def test_sparse_matrix_market_round_trip(tmp_path):
-    # a coordinate file written from sparse storage loads into dense storage
+    # a coordinate file written from sparse storage loads into packed storage
     dense = np.diag([1.0, 2.0, 3.0])
     dense[0, 2] = dense[2, 0] = 0.1
     path = tmp_path / "s.mtx"
     scipy.io.mmwrite(path, scipy.sparse.csr_matrix(dense), symmetry="symmetric")
     B = load_matrix(path)
-    assert B.kind == "dense"
-    assert isinstance(B.data, np.ndarray)
+    assert B.kind == "packed" and B.data.shape == (6,)
     np.testing.assert_array_equal(B.to_dense(), dense)
 
 

@@ -27,9 +27,12 @@ import traceinv.estimators
 from traceinv import matrices
 from traceinv.matrices import apply_householder, cholesky, inverse_factor
 
-from conftest import lower_factor, packed_order, spd_from_eigenvalues, traced_extra_bytes
+from conftest import (lower_factor, packed_order, spd_from_eigenvalues, traced_extra_bytes,
+                      traced_peak_bytes)
 
 FOOTPRINT_ORDER = 600  # n x n arrays of 2.9 MB: large beside every small allocation
+# both parities, order 1 (no square block) and the two halves of the n = 2500 kernel
+PRODUCT_ORDERS = st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 1250, 1251]))
 
 
 class TestSpdMatrix:
@@ -71,7 +74,7 @@ class TestSpdMatrix:
         dense = np.max(np.abs(a - a.T)) <= matrices.SYMMETRY_RTOL * np.max(np.abs(a))
         assert dense == (n == 1 or factor < 1.0)
         if dense:
-            assert SpdMatrix.from_dense(a).data is a
+            SpdMatrix.from_dense(a)
         else:
             with pytest.raises(InvalidShape, match="not symmetric"):
                 SpdMatrix.from_dense(a)
@@ -81,6 +84,14 @@ class TestSpdMatrix:
         a = rng.uniform(-1.0, 1.0, (n, n))
         a = a + a.T
         assert traced_extra_bytes(SpdMatrix.from_dense, a) <= 0.05 * 8 * n * n
+
+    @pytest.mark.parametrize("data", [np.ones(5), np.ones(10), np.ones(6, dtype=np.float32),
+                                      np.ones(12)[::2], np.ones((2, 3)), None],
+                             ids=["short", "long", "float32", "strided", "square", "none"])
+    def test_packed_data_must_hold_the_triangle(self, data):
+        # products and unpacking hand the data to BLAS and LAPACK by address
+        with pytest.raises(InvalidShape):
+            SpdMatrix(3, "packed", data)
 
     def test_identity_has_no_entries(self):
         I = SpdMatrix.identity(4)
@@ -93,7 +104,7 @@ class TestSpdMatrix:
     def test_entry_norm_is_largest_entry(self, n, seed):
         rng = np.random.default_rng(seed)
         A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-2, 2, n))
-        assert A.entry_norm().hex() == float(np.max(np.abs(A.data))).hex()
+        assert A.entry_norm().hex() == float(np.max(np.abs(A.to_dense()))).hex()
 
     @pytest.mark.parametrize("shape,order", [((60,), "C"), ((60, 7), "C"), ((60, 7), "F")])
     def test_matvec_matches_matmul(self, rng, shape, order):
@@ -101,13 +112,43 @@ class TestSpdMatrix:
         Z = np.asarray(rng.standard_normal(shape), order=order)
         product = A.matvec(Z)
         assert product.shape == shape
-        reference = A.data @ Z
+        reference = A.to_dense() @ Z
         assert np.linalg.norm(product - reference) <= 1e-14 * np.linalg.norm(reference)
 
-    def test_f_ordered_operand_is_stored_c_ordered(self, rng):
+    @settings(max_examples=40, deadline=None)
+    @given(PRODUCT_ORDERS, st.integers(0, 10_000), st.sampled_from([0.0, 0.3]),
+           st.sampled_from([None, 1, 5]))
+    @example(n=1, seed=0, shift=0.3, width=5)
+    @example(n=1250, seed=0, shift=0.0, width=5)
+    @example(n=1251, seed=1, shift=0.3, width=None)
+    def test_property_matvec_matches_unpacked_product(self, n, seed, shift, width):
+        # leaves of 8 make every order from 17 on split below each RFP triangle
+        rng = np.random.default_rng(seed)
+        A = SpdMatrix(n, "packed", SpdMatrix.from_dense(spd_of_order(n, seed)).data, shift)
+        Z = rng.standard_normal(n if width is None else (n, width))
+        reference = A.to_dense() @ Z
+        for leaf in (8, matrices.SYMMETRIC_LEAF_ORDER):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(matrices, "SYMMETRIC_LEAF_ORDER", leaf)
+                product = A.matvec(Z)
+            assert product.shape == Z.shape
+            assert np.linalg.norm(product - reference) <= 1e-13 * np.linalg.norm(reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 70), st.integers(0, 10_000))
+    def test_property_unpacks_the_lower_triangle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        a = a + a.T
+        upper = np.triu_indices(n, 1)  # within the symmetry tolerance, so a is accepted
+        a[upper] *= 1.0 + 0.5 * matrices.SYMMETRY_RTOL * rng.uniform(-1, 1, upper[0].size)
+        lower = np.tril(a) + np.tril(a, -1).T
+        assert SpdMatrix.from_dense(a).to_dense().tobytes() == lower.tobytes()
+
+    def test_f_ordered_operand_packs_as_c_ordered(self, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
-        F = SpdMatrix.from_dense(np.asfortranarray(A.data))
-        assert F.data.flags.c_contiguous
+        F = SpdMatrix.from_dense(np.asfortranarray(A.to_dense()))
+        assert F.data.flags.c_contiguous and F.data.shape == (40 * 41 // 2,)
         np.testing.assert_array_equal(F.data, A.data)
         Z = rng.standard_normal((40, 5))
         np.testing.assert_array_equal(F.matvec(Z), A.matvec(Z))
@@ -142,7 +183,7 @@ class TestCholesky:
     def test_reads_only_lower_triangle(self, rng):
         n = 40
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, n))
-        lower = np.tril(A.data) + np.tril(A.data, -1).T
+        lower = np.tril(A.to_dense()) + np.tril(A.to_dense(), -1).T
         perturbed = lower.copy()
         upper = np.triu_indices(n, 1)
         perturbed[upper] *= 1.0 + 0.5 * matrices.SYMMETRY_RTOL * rng.uniform(-1, 1, upper[0].size)
@@ -198,7 +239,7 @@ class TestCholesky:
             else SpdMatrix.identity(30)
         U = cholesky(A, B, 0.7)
         assert seen == [U.ctypes.data] and U.shape == (30 * 31 // 2,)
-        M = A.data + 0.7 * (B.data if dense_b else np.eye(30))
+        M = A.to_dense() + 0.7 * (B.to_dense() if dense_b else np.eye(30))
         assert list(map(float.hex, U)) == list(map(float.hex, cholesky(SpdMatrix.from_dense(M))))
 
     @settings(max_examples=30, deadline=None)
@@ -449,7 +490,7 @@ class TestInverseFactor:
         for seed in range(9):
             rng = np.random.default_rng(seed)
             A, _ = spd_from_eigenvalues(rng, np.logspace(0, -np.log10(kappa), 128))
-            exact = extended_trace(A.data)
+            exact = extended_trace(A.to_dense())
             lapack = float(np.sum(dtftri(cholesky(A))[0] ** 2))
             fused = float(np.sum(inverse_factor(A) ** 2))
             errors.append([abs(fused - exact) / exact, abs(lapack - exact) / exact])
@@ -534,15 +575,18 @@ class TestKernels:
     def test_matches_pairwise_distance_formula_bitwise(self, points, rho):
         import scipy.spatial.distance as dist
 
-        reference = np.exp(-dist.squareform(dist.pdist(points.coords)) / rho)
+        reference = np.exp(-dist.cdist(points.coords, points.coords) / rho)
         np.fill_diagonal(reference, 1.0)
         K = build_exponential_kernel(points, rho)
-        assert K.data.dtype == reference.dtype and K.data.tobytes() == reference.tobytes()
+        assert K.to_dense().tobytes() == reference.tobytes()
 
-    def test_build_holds_one_square_array(self):
-        n = FOOTPRINT_ORDER
+    @pytest.mark.parametrize("n", [FOOTPRINT_ORDER, FOOTPRINT_ORDER + 1])
+    def test_build_holds_packed_array_and_one_chunk(self, n):
+        import scipy.spatial.distance  # noqa: F401, loaded on first use, so before tracing
+
         points = random_points(n, seed=4)
-        assert traced_extra_bytes(build_exponential_kernel, points, 0.1) <= 1.2 * 8 * n * n
+        chunk = 8 * matrices.KERNEL_CHUNK * n
+        assert traced_peak_bytes(build_exponential_kernel, points, 0.1) <= 4 * n * (n + 1) + chunk
 
     def test_custom_kernel_handle(self):
         K = build_kernel(grid_points(3), lambda d: np.exp(-(d**2)))
