@@ -54,21 +54,14 @@ _EXPORTS = {
     ),
     "matrices": (
         "DesignMatrix",
-        "PointCloud",
         "SpdMatrix",
         "build_design_matrix",
         "build_exponential_kernel",
-        "build_kernel",
         "grid_points",
         "random_points",
     ),
-    "optimize": ("DeResult", "differential_evolution"),
-    "ortho": (
-        "OrthoCoefficients",
-        "eval_ortho_function",
-        "gram_schmidt",
-        "haar_inner_product_basis",
-    ),
+    "optimize": ("differential_evolution",),
+    "ortho": ("gram_schmidt",),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

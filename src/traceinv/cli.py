@@ -61,15 +61,6 @@ def _parse_sweep(text):
     return lo, hi, count, spacing
 
 
-def _sweep_grid(sweep):
-    import numpy as np
-
-    lo, hi, count, spacing = sweep
-    if spacing == "log":
-        return np.logspace(np.log10(lo), np.log10(hi), count)
-    return np.linspace(lo, hi, count)
-
-
 def _add_matrix_options(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix", type=Path, help="matrix file (.mtx or .csv)")
@@ -163,6 +154,7 @@ def cmd_interpolate(args, argv):
     import numpy as np
 
     from .estimators import prepare_trace
+    from .experiments import sweep_grid
     from .interpolation import (
         compute_tau_at_nodes,
         compute_tau_context,
@@ -196,7 +188,7 @@ def cmd_interpolate(args, argv):
 
     failures = 0
     if args.sweep is not None:
-        ts = _sweep_grid(args.sweep)
+        ts = sweep_grid(args.sweep)
         rows = []
         for t, est in zip(ts, prepare_trace(ctx.A, ctx.B)(ts)):
             exact = est.value / ctx.trace_b_inv
@@ -229,7 +221,7 @@ def cmd_gp(args, argv):
 
     result = gp_experiment(side=args.side, rho=args.rho,
                            nodes=args.nodes or GP_DEFAULT_NODES,
-                           p_values=args.p, sweep=args.sweep[:3],
+                           p_values=args.p, sweep=args.sweep,
                            sampling="random" if args.random_points else "grid",
                            seed=args.seed)
     out = _out_dir(args)

@@ -75,6 +75,38 @@ class LanczosTriDiag:
         return self.alpha.shape[0]
 
 
+@dataclass(frozen=True)
+class StieltjesSum:
+    """The positive sum t -> sum_j w_j / (x_j + t), defined for t > -min(x_j).
+
+    Every tau curve here has this form: an eigendecomposition's trace, a fitted
+    rational interpolant, and the bound tau0 / (1 + t*tau0), one weight 1 at 1/tau0.
+    Weights and nodes are positive, so the sum is positive and decreasing on its
+    domain. It takes a scalar t (giving a float) or an array.
+    """
+
+    weights: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        w, x = (np.asarray(a, dtype=float).ravel() for a in (self.weights, self.nodes))
+        if w.shape != x.shape or not w.size or not np.all(np.isfinite(w) & np.isfinite(x)):
+            raise InvalidShape("a Stieltjes sum needs as many finite weights as nodes, and one")
+        if np.any(w <= 0.0) or np.any(x <= 0.0):
+            raise NotPositiveDefinite("a Stieltjes sum needs positive weights and nodes")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "nodes", x)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        shifted = self.nodes + t[..., None]
+        if np.any(shifted <= 0.0):
+            raise NotPositiveDefinite(f"t={t.min()} is at or left of the sum's first pole "
+                                      f"{-self.nodes.min()}")
+        values = np.sum(self.weights / shifted, axis=-1)
+        return float(values) if t.ndim == 0 else values
+
+
 def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
     """A + t*B (B = None means B = I) as a packed operand, never re-scanned for symmetry.
 
@@ -101,36 +133,22 @@ def trace_inv_exact_cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) ->
     return TraceEstimate(value=float(W.sum()), method="exact-cholesky")
 
 
-def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None):
-    """Closure t -> trace((A + t*B)^-1) from one (generalized) eigensolve.
+def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None) -> StieltjesSum:
+    """trace((A + t*B)^-1) as a ``StieltjesSum`` from one (generalized) eigensolve.
 
     With eigenpairs (g_i, v_i) of the pencil (A, B) normalized so that
-    V^T B V = I, the trace equals sum_i |v_i|^2 / (g_i + t), i.e.
-    sum_i 1 / (lam_i + t*mu_i) with lam_i = g_i/|v_i|^2, mu_i = 1/|v_i|^2.
-    When B is the identity this reduces to the plain eigenvalue sum. The
-    closure raises NotPositiveDefinite for t at or below -min(lam/mu). Its
-    ``trace_b_inv`` attribute is trace(B^-1) = sum_i |v_i|^2, since V V^T = B^-1.
+    V^T B V = I, the trace equals sum_i |v_i|^2 / (g_i + t): weights |v_i|^2 at
+    the pencil's eigenvalues, and weight 1 at each eigenvalue of A when B is the
+    identity. The total weight is trace(B^-1), since V V^T = B^-1.
     """
     if B is None or B.is_identity:
         gamma = scipy.linalg.eigh(A.to_dense(), eigvals_only=True, check_finite=False)
-        weights = np.ones_like(gamma)
-    else:
-        try:
-            gamma, V = scipy.linalg.eigh(A.to_dense(), B.to_dense(), check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"B is not positive definite: {exc}") from exc
-        weights = np.sum(V**2, axis=0)
-    lam = gamma / weights
-    mu = 1.0 / weights
-
-    def evaluate(t):
-        denom = lam + float(t) * mu
-        if np.min(denom) <= 0.0:
-            raise NotPositiveDefinite(f"A + t*B is not positive definite at t={t}")
-        return float(np.sum(1.0 / denom))
-
-    evaluate.trace_b_inv = float(np.sum(weights))
-    return evaluate
+        return StieltjesSum(np.ones_like(gamma), gamma)
+    try:
+        gamma, V = scipy.linalg.eigh(A.to_dense(), B.to_dense(), check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"B is not positive definite: {exc}") from exc
+    return StieltjesSum(np.sum(V**2, axis=0), gamma)
 
 
 def _sample_rng(seed, index):
@@ -264,16 +282,16 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
     kept across calls, and a call's new Cholesky shifts side by side (``matrices.lapack_map``,
     bit for bit). The seed names one probe set, drawn at every shift, so a repeated shift
     needs no second estimate and a stochastic sweep decreases in t. The back-end's
-    ``trace_b_inv``, taken here, is trace(B^-1): n for B = I, from the pencil's
-    eigenvectors for eigen, and otherwise the same estimator and probe set applied to B.
+    ``trace_b_inv``, taken here, is trace(B^-1): the eigen sum's total weight, n for
+    B = I, and otherwise the same estimator and probe set applied to B.
     """
     checked_orders(A, B)  # refuses a B of another order before any work
     # Estimators are looked up at call time, so wrappers put on the module see each call.
     if method == "eigen":
-        evaluate = trace_inv_exact_eigen(A, B)
+        curve = trace_inv_exact_eigen(A, B)
 
         def estimate(M, B, t):
-            return TraceEstimate(value=evaluate(t), method="exact-eigen")
+            return TraceEstimate(value=curve(t), method="exact-eigen")
     elif method == "cholesky":
         def estimate(M, B, t):
             return trace_inv_exact_cholesky(M, B, t)
@@ -297,10 +315,10 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
         computed = lapack_map(at, new, A.n) if method == "cholesky" else map(at, new)
         estimates.update(zip(new, computed))
         return [estimates[t] for t in ts]
-    if B is None or B.is_identity:
+    if method == "eigen":
+        backend.trace_b_inv = float(np.sum(curve.weights))
+    elif B is None or B.is_identity:
         backend.trace_b_inv = float(A.n)
-    elif method == "eigen":
-        backend.trace_b_inv = evaluate.trace_b_inv
     else:
         backend.trace_b_inv = estimate(B, None, 0.0).value
     return backend

@@ -11,7 +11,8 @@ class NotPositiveDefinite(TraceInvError):
     Raised when a Cholesky pivot is non-positive (or below the pivot
     tolerance), or when a quadrature node of a stochastic estimator comes
     out non-positive. For shifted operands A + t*B this signals that t is
-    at or below t_min.
+    at or below t_min, and for a ``StieltjesSum`` that t is at or left of its
+    first pole.
     """
 
 
@@ -32,9 +33,9 @@ class NonPositiveResult(TraceInvError):
 
 
 class PoleInDomain(TraceInvError):
-    """A rational interpolant has a real pole inside the evaluation domain.
+    """A rational fit is no positive sum with every pole left of its domain.
 
-    Carries the offending pole locations so callers can nudge the nodes.
+    Carries the offending (possibly complex) poles so callers can nudge the nodes.
     """
 
     def __init__(self, message, poles):

@@ -56,6 +56,17 @@ GCV_NODE_SETS = {
 }
 
 
+def sweep_grid(sweep):
+    """The shifts of ``sweep = (min, max, count[, "log" | "lin"])``, log-spaced by default."""
+    lo, hi, count, *spacing = sweep
+    count = checked_count("sweep count", count)
+    if spacing in ([], ["log"]):
+        return np.logspace(np.log10(lo), np.log10(hi), count)
+    if spacing == ["lin"]:
+        return np.linspace(lo, hi, count)
+    raise InvalidShape(f"sweep spacing must be 'log' or 'lin', got {spacing[0]!r}")
+
+
 def select_nodes(master, p):
     """Pick p nodes from a master list: all of them when p matches, else a
     centrally spread subset by index (p = 1 picks the middle node)."""
@@ -117,15 +128,16 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     """Interpolate tau(t) = trace((K + t*I)^-1)/n for a kernel matrix K.
 
     The benchmark curve is computed exactly by Cholesky factorization at
-    every sweep point; for each p a basis interpolant is fitted to p nodes
-    and compared against the benchmark. Curve, tau0 and nodes share one
-    back-end, so a shift that recurs among them is factored once. Node
-    reproduction is checked to 1e-8 relative as a built-in sanity gate.
+    every point of ``sweep_grid(sweep)``; for each p a basis interpolant is
+    fitted to p nodes and compared against the benchmark. Curve, tau0 and
+    nodes share one back-end, so a shift that recurs among them is factored
+    once. Node reproduction is checked to 1e-8 relative as a built-in sanity
+    gate.
     """
     if side**2 > 10**4:
         raise InvalidShape("side^2 is limited to 10^4 (desk scale)")
     points = grid_points(side) if sampling == "grid" else random_points(side**2, seed)
-    ts = np.logspace(np.log10(sweep[0]), np.log10(sweep[1]), checked_count("sweep count", sweep[2]))
+    ts = sweep_grid(sweep)
     K = build_exponential_kernel(points, rho)
     n = K.n
     ctx = compute_tau_context(K)

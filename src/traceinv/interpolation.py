@@ -10,7 +10,8 @@ so tau0 / (1 + t*tau0) bounds tau from above, is exact at t = 0 and
 asymptotically exact as t -> infinity. Two interpolation families refine
 this bound from a handful of exactly-computed values tau(t_i): a linear
 combination of orthonormalized fractional-power basis functions, and a
-rational polynomial of degree p over p+1.
+rational function of degree p over p+1 held as a positive sum of p+1 poles
+(``estimators.StieltjesSum``), the form tau itself has.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .estimators import prepare_trace
+from .estimators import StieltjesSum, prepare_trace
 from .exceptions import (
     InvalidShape,
     NonPositiveResult,
@@ -160,8 +161,7 @@ class Interpolant:
     weights: tuple = ()
     scale: float | None = None
     ortho: OrthoCoefficients | None = field(default=None, repr=False)
-    numerator: tuple = ()    # highest-degree coefficient first
-    denominator: tuple = ()
+    curve: StieltjesSum | None = field(default=None, repr=False)  # rational only
     small_t_floor: float = 0.0
     fit_residual: float = 0.0
 
@@ -245,33 +245,47 @@ def eval_basis(interp: Interpolant, t, allow_small_t=False):
 
 def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
                  eval_domain=None) -> Interpolant:
-    """Fit tau(t) ~ (t^p + a_{p-1} t^{p-1} + ... + a_0)/(t^{p+1} + ... + b_0).
+    """Fit tau(t) ~ sum_{j=0..p} w_j / (t + mu_j), a positive sum of type p over p+1.
 
-    The constraint a_0 = b_0 * tau0 pins tau(0) = tau0, and the monic
-    leading coefficients pin the t^-1 asymptote, leaving 2p unknowns
-    matched by exactly 2p nodes. p = 0 takes no nodes and reproduces the
-    upper bound with b_0 = 1/tau0. After the solve, real roots of the
-    denominator are located via the companion matrix; a root inside the
-    evaluation domain raises :class:`PoleInDomain` with the root
-    locations: tau is a Stieltjes function, so such a root means node
-    values that no decreasing Stieltjes curve passes through.
+    The collocation solves for (t^p + ... + a_0)/(t^{p+1} + ... + b_0) with a_0 = b_0 * tau0
+    (tau(0) = tau0) and monic leading coefficients (the t^-1 asymptote): 2p unknowns for
+    2p nodes. p = 0 takes no nodes and gives the upper bound, weight 1 at mu = 1/tau0.
+    The solution is converted once into residues w_j and poles -mu_j. Unless every w_j is
+    positive and every pole real and left of 0 and of the left end of ``eval_domain``
+    (default t_min/2, or 0 without t_min), :class:`PoleInDomain` names the node values:
+    tau is a Stieltjes function, and no decreasing one passes through them.
     """
     p = int(p)
     if p < 0:
         raise InvalidShape("p must be >= 0")
-    if p == 0:
-        if len(pts) != 0:
-            raise InvalidShape("p = 0 takes no nodes")
-        numer = (1.0,)
-        denom = (1.0, 1.0 / ctx.tau0)
-        interp = Interpolant(variant="rational", tau0=ctx.tau0, p=0,
-                             numerator=numer, denominator=denom)
-        _check_poles(interp, pts, ctx, eval_domain)
-        return interp
     if len(pts) != 2 * p:
         raise InvalidShape(f"rational fit of degree p={p} needs exactly {2 * p} nodes, "
                            f"got {len(pts)}")
-    ts, taus = pts.ts, pts.taus
+    numer, denom, residual = (1.0,), (1.0, 1.0 / ctx.tau0), 0.0
+    if p:
+        numer, denom, residual = _collocation(ctx.tau0, pts.ts, pts.taus, p)
+    if eval_domain is None:
+        eval_domain = (-abs(ctx.t_min) / 2.0 if ctx.t_min is not None else 0.0,)
+    left = min(0.0, float(eval_domain[0]))
+    poles, slope = np.roots(denom), np.polyder(denom)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a double pole is refused below
+        for _ in range(2):  # polish the companion matrix's roots, a few ulps off
+            poles = poles - np.polyval(denom, poles) / np.polyval(slope, poles)
+        residues = np.polyval(numer, poles) / np.polyval(slope, poles)
+    bad = np.iscomplex(poles) | (poles.real >= left) | ~(residues.real > 0.0)
+    if np.any(bad):
+        raise PoleInDomain(
+            f"the fit has poles {poles.tolist()} and residues {residues.tolist()}, not a "
+            f"positive sum with its poles left of {left:.3e}: the node values "
+            f"{pts.taus.tolist()} at t = {pts.ts.tolist()} are inconsistent with a decreasing "
+            "Stieltjes curve (stochastic noise or lost accuracy in the trace estimates)",
+            poles=poles[bad].tolist())
+    return Interpolant(variant="rational", tau0=ctx.tau0, p=p, fit_residual=residual,
+                       curve=StieltjesSum(residues.real, -poles.real))
+
+
+def _collocation(tau0, ts, taus, p):
+    """Monomial numerator and denominator (highest degree first) through 2p nodes."""
     # Unknown layout: [a_1..a_{p-1}, b_0, b_1..b_p]. Row i (divided through
     # by tau_i for scaling):
     #   -sum_k a_k t^k / tau + b_0 (1 - tau0/tau) + sum_k b_k t^k
@@ -280,7 +294,7 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
     design = np.zeros((size, size))
     for k in range(1, p):
         design[:, k - 1] = -(ts**k) / taus
-    design[:, p - 1] = 1.0 - ctx.tau0 / taus
+    design[:, p - 1] = 1.0 - tau0 / taus
     for k in range(1, p + 1):
         design[:, p + k - 1] = ts**k
     rhs = ts**p / taus - ts ** (p + 1)
@@ -292,56 +306,20 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
                      / max(np.linalg.norm(rhs, np.inf), 1e-300))
     if residual > FIT_RESIDUAL_WARN:
         warnings.warn(f"rational fit residual {residual:.2e} is large; "
-                      "consider moving the nodes", stacklevel=2)
-    a = sol[: p - 1]          # a_1..a_{p-1}
-    b0 = sol[p - 1]
-    b = sol[p:]               # b_1..b_p
-    a0 = b0 * ctx.tau0
-    numer = (1.0, *a[::-1], a0)            # t^p + a_{p-1} t^{p-1} + ... + a_0
-    denom = (1.0, *b[::-1], b0)            # t^{p+1} + b_p t^p + ... + b_0
-    interp = Interpolant(variant="rational", tau0=ctx.tau0, p=p,
-                         numerator=numer, denominator=denom, fit_residual=residual)
-    _check_poles(interp, pts, ctx, eval_domain)
-    return interp
-
-
-def _check_poles(interp, pts, ctx, eval_domain):
-    if eval_domain is None:
-        left = -abs(ctx.t_min) / 2.0 if ctx.t_min is not None else 0.0
-        right = 10.0 * float(np.max(pts.ts)) if len(pts) else 10.0 / ctx.tau0
-        eval_domain = (left, right)
-    lo, hi = float(eval_domain[0]), float(eval_domain[1])
-    roots = np.roots(interp.denominator)
-    real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))].real
-    inside = real[(real >= lo) & (real <= hi)]
-    if inside.size:
-        raise PoleInDomain(
-            f"fitted denominator has real roots {inside.tolist()} inside "
-            f"[{lo:.3e}, {hi:.3e}]: the node values {pts.taus.tolist()} at "
-            f"t = {pts.ts.tolist()} are inconsistent with a decreasing Stieltjes "
-            "curve (stochastic noise or lost accuracy in the trace estimates)",
-            poles=inside.tolist(),
-        )
+                      "consider moving the nodes", stacklevel=3)
+    a, b0, b = sol[: p - 1], sol[p - 1], sol[p:]  # a_1..a_{p-1}, b_0, b_1..b_p
+    return (1.0, *a[::-1], b0 * tau0), (1.0, *b[::-1], b0), residual
 
 
 def eval_rational(interp: Interpolant, t):
-    """Evaluate a rational interpolant by Horner's rule on both polynomials."""
+    """Evaluate a rational interpolant: tau0 exactly at t = 0, its sum elsewhere.
+
+    t at or left of the sum's first pole raises NotPositiveDefinite.
+    """
     if interp.variant != "rational":
         raise InvalidShape(f"expected a rational interpolant, got {interp.variant!r}")
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    numer = np.polyval(interp.numerator, t)
-    denom = np.polyval(interp.denominator, t)
-    tiny = np.abs(denom) < 1e-300 * np.maximum(np.abs(numer), 1.0)
-    if np.any(tiny):
-        raise PoleInDomain(
-            f"evaluation at t={t[tiny].tolist()} hits a pole of the interpolant",
-            poles=t[tiny].tolist(),
-        )
-    result = numer / denom
-    result[t == 0.0] = interp.tau0  # a_0 = b_0 * tau0 makes this the exact limit
-    return float(result[0]) if scalar else result
+    result = np.where(np.asarray(t) == 0.0, interp.tau0, interp.curve(t))
+    return float(result) if result.ndim == 0 else result
 
 
 def interpolant_to_json(interp: Interpolant) -> dict:
@@ -355,7 +333,9 @@ def interpolant_to_json(interp: Interpolant) -> dict:
         record["coefficients"] = list(interp.weights)
         record["small_t_floor"] = interp.small_t_floor
     elif interp.variant == "rational":
-        record["coefficients"] = [list(interp.numerator), list(interp.denominator)]
+        record["version"] = 2  # version 1 held monomial coefficients
+        record["weights"] = interp.curve.weights.tolist()
+        record["poles"] = (-interp.curve.nodes).tolist()
     else:
         record["coefficients"] = []
     return record

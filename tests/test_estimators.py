@@ -149,6 +149,19 @@ class TestExactEigen:
         for t in (0.0, 1.0, 4.5):
             assert f(t) == pytest.approx(1 / (1 + t) + 1 / (2 + t), rel=1e-13)
 
+    def test_sum_weights(self, rng):
+        # weight 1 at each eigenvalue for B = I; in general |v_i|^2, which add up to trace(B^-1)
+        f = trace_inv_exact_eigen(SpdMatrix.from_dense(np.diag([2.0, 1.0])))
+        assert (f.weights.tolist(), f.nodes.tolist()) == ([1.0, 1.0], [1.0, 2.0])
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 5, 8))
+        B, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 5, 8))
+        total = np.trace(np.linalg.inv(B.to_dense()))
+        assert np.sum(trace_inv_exact_eigen(A, B).weights) == pytest.approx(total, rel=1e-12)
+
+    def test_indefinite_a_refused_when_prepared(self):
+        with pytest.raises(NotPositiveDefinite):
+            prepare_trace(SpdMatrix.from_dense(np.diag([1.0, -2.0])), method="eigen")
+
     def test_identity_pair(self):
         f = trace_inv_exact_eigen(SpdMatrix.identity(6), SpdMatrix.identity(6))
         assert f(1.0) == pytest.approx(3.0, rel=1e-13)

@@ -28,6 +28,7 @@ from traceinv.experiments import (
     make_gcv_problem,
     relative_log_theta_error,
     select_nodes,
+    sweep_grid,
 )
 
 SMALL = dict(n=120, m=60, seed=5)
@@ -119,6 +120,15 @@ class TestGpExperiment:
     def test_empty_sweep_refused(self, count):
         with pytest.raises(InvalidShape, match="sweep count"):
             gp_experiment(side=4, sweep=(1e-2, 1.0, count))
+
+    def test_sweep_grid_spacing(self):
+        # three elements log-space as before; a fourth picks the spacing
+        log = np.logspace(np.log10(1e-2), np.log10(1.0), 5)
+        assert sweep_grid((1e-2, 1.0, 5)).tolist() == log.tolist()
+        assert sweep_grid((1e-2, 1.0, 5, "log")).tolist() == log.tolist()
+        assert sweep_grid((1.0, 10.0, 3, "lin")).tolist() == [1.0, 5.5, 10.0]
+        with pytest.raises(InvalidShape, match="spacing"):
+            sweep_grid((1.0, 10.0, 3, "cubic"))
 
     def test_desk_scale_guard(self):
         with pytest.raises(Exception):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,8 +27,8 @@ from traceinv import (
     tau_upper_bound,
     trace_inv_exact_cholesky,
 )
-from traceinv.estimators import trace_inv_exact_eigen
-from traceinv.interpolation import interpolant_to_json
+from traceinv.estimators import StieltjesSum, trace_inv_exact_eigen
+from traceinv.interpolation import default_nodes, interpolant_to_json
 from traceinv.ortho import eval_ortho_function
 
 from conftest import spd_from_eigenvalues
@@ -252,6 +254,8 @@ class TestRationalInterpolant:
         ts = np.logspace(-4, 4, 100)
         np.testing.assert_allclose(eval_rational(interp, ts),
                                    tau_upper_bound(ts, ctx.tau0), rtol=1e-15)
+        # the bound is the one-term sum: weight 1 at 1/tau0
+        assert (interp.curve.weights.tolist(), interp.curve.nodes.tolist()) == ([1.0], [1 / 0.75])
 
     def test_p0_hand_value(self):
         interp = fit_rational(
@@ -313,13 +317,73 @@ class TestRationalInterpolant:
         interp = fit_rational(ctx, pts, 1, eval_domain=(0.0, 100.0))
         assert eval_rational(interp, 50.0) > 0
 
+    def test_values_above_the_bound_refused(self):
+        # both values lie above tau0 / (1 + t*tau0); the collocation's poles are complex
+        ctx = TauContext(A=SpdMatrix.identity(2), B=SpdMatrix.identity(2),
+                         tau0=1.0, trace_b_inv=2.0, n=2)
+        pts = InterpolantPoints(ts=[0.5, 2.0], taus=[0.929, 0.561])
+        assert np.all(pts.taus > tau_upper_bound(pts.ts, ctx.tau0))
+        with pytest.raises(PoleInDomain, match=re.escape("[0.929, 0.561]")) as err:
+            fit_rational(ctx, pts, 1)
+        assert len(err.value.poles) == 2
+        assert all(isinstance(pole, complex) for pole in err.value.poles)
+
     def test_evaluation_at_pole_raises(self):
         from traceinv import Interpolant
 
-        interp = Interpolant(variant="rational", tau0=1.0, p=1,
-                             numerator=(1.0, 1.0), denominator=(1.0, -2.0, 0.0))
-        with pytest.raises(PoleInDomain):
-            eval_rational(interp, 2.0)
+        # 0.5 / (t + 1) + 0.5 / (t + 2): tau0 = 0.75, first pole at t = -1
+        interp = Interpolant(variant="rational", tau0=0.75, p=1,
+                             curve=StieltjesSum((0.5, 0.5), (1.0, 2.0)))
+        assert eval_rational(interp, 0.0) == 0.75
+        assert eval_rational(interp, -0.5) == pytest.approx(0.5 / 0.5 + 0.5 / 1.5, rel=1e-15)
+        for t in (-1.0, -1.5, [0.0, -1.0]):
+            with pytest.raises(NotPositiveDefinite, match="first pole -1.0"):
+                eval_rational(interp, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 12), st.integers(0, 10_000), st.sampled_from([1, 2]))
+    def test_property_fit_on_exact_values_is_a_positive_sum(self, n, seed, p):
+        # tau is a positive sum with poles at -lam_i, so a fit to exact values has positive
+        # weights and its nodes inside [min lam, max lam]; n >= p + 2 keeps the fit below
+        # the curve's own type, which it would recover only to the collocation's conditioning
+        rng = np.random.default_rng(seed)
+        lam = 10.0 ** rng.uniform(-1.0, 1.0, n)
+        A, _ = spd_from_eigenvalues(rng, lam)
+        ctx = compute_tau_context(A)
+        pts = compute_tau_at_nodes(ctx, default_nodes(ctx.tau0, 2 * p))
+        interp = fit_rational(ctx, pts, p)
+        assert np.all(interp.curve.weights > 0.0)
+        slack = 1e-8 * lam.max()
+        assert lam.min() - slack <= interp.curve.nodes.min()
+        assert interp.curve.nodes.max() <= lam.max() + slack
+        np.testing.assert_allclose(eval_rational(interp, pts.ts), pts.taus, rtol=1e-8)
+
+
+class TestStieltjesSum:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10_000))
+    def test_property_positive_decreasing_and_refused_left_of_domain(self, n, seed):
+        rng = np.random.default_rng(seed)
+        nodes = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        curve = StieltjesSum(10.0 ** rng.uniform(-3.0, 3.0, n), nodes)
+        ts = -nodes.min() + nodes.min() * np.logspace(-6, 6, 40)
+        values = curve(ts)
+        assert np.all(values > 0.0) and np.all(np.diff(values) < 0.0)
+        assert values.tolist() == [curve(t) for t in ts]  # an array takes the scalar path
+        for t in (-nodes.min(), -2.0 * nodes.min(), [1.0, -nodes.min()]):
+            with pytest.raises(NotPositiveDefinite):
+                curve(t)
+
+    @pytest.mark.parametrize("weights, nodes, error", [
+        ((1.0, 2.0), (1.0,), InvalidShape),
+        ((), (), InvalidShape),
+        ((1.0, np.inf), (1.0, 2.0), InvalidShape),
+        ((1.0, 0.0), (1.0, 2.0), NotPositiveDefinite),
+        ((1.0, 2.0), (1.0, -2.0), NotPositiveDefinite),
+    ])
+    def test_refuses_what_is_no_positive_sum(self, weights, nodes, error):
+        with pytest.raises(error):
+            StieltjesSum(weights, nodes)
 
 
 def test_basis_nonpositive_result_flagged():
@@ -337,6 +401,16 @@ class TestJsonRoundTrip:
         record = interpolant_to_json(fit_basis(diag_context([2.0, 2.0]),
                                                InterpolantPoints(ts=[], taus=[])))
         assert record["variant"] == "bound" and record["coefficients"] == []
+
+    def test_rational_record_holds_the_sum(self):
+        ctx = diag_context([1.0, 2.0, 5.0])
+        record = interpolant_to_json(fit_rational(ctx, compute_tau_at_nodes(ctx, [0.1, 1.0]), 1))
+        assert record["version"] == 2 and "coefficients" not in record
+        weights, poles = np.array(record["weights"]), np.array(record["poles"])
+        assert weights.size == poles.size == 2
+        assert np.all(weights > 0.0) and np.all(poles < 0.0)
+        assert np.sum(weights) == pytest.approx(1.0, rel=1e-12)  # the 1/t asymptote
+        assert np.sum(weights / -poles) == pytest.approx(ctx.tau0, rel=1e-12)  # tau(0)
 
 
 class TestInequalitySuite:

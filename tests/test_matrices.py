@@ -17,7 +17,6 @@ from traceinv import (
     SpdMatrix,
     build_design_matrix,
     build_exponential_kernel,
-    build_kernel,
     compute_tau_context,
     grid_points,
     random_points,
@@ -25,7 +24,7 @@ from traceinv import (
 )
 import traceinv.estimators
 from traceinv import matrices
-from traceinv.matrices import apply_householder, cholesky, inverse_factor
+from traceinv.matrices import apply_householder, build_kernel, cholesky, inverse_factor
 
 from conftest import (lower_factor, packed_order, spd_from_eigenvalues, traced_extra_bytes,
                       traced_peak_bytes)

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from traceinv import (
-    InvalidShape,
-    eval_ortho_function,
-    gram_schmidt,
-    haar_inner_product_basis,
-)
+from traceinv import InvalidShape, gram_schmidt
+from traceinv.ortho import eval_ortho_function, haar_inner_product_basis
 
 # Reference coefficient table for orders 1..9: (sign, integer row).
 REFERENCE_TABLE = {
