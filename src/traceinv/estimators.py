@@ -81,8 +81,8 @@ class StieltjesSum:
 
     Every tau curve here has this form: an eigendecomposition's trace, a fitted
     rational interpolant, and the bound tau0 / (1 + t*tau0), one weight 1 at 1/tau0.
-    Weights and nodes are positive, so the sum is positive and decreasing on its
-    domain. It takes a scalar t (giving a float) or an array.
+    Weights are positive, so the sum is positive and decreasing on its domain,
+    whatever the sign of the nodes. It takes a scalar t (giving a float) or an array.
     """
 
     weights: np.ndarray = field(repr=False)
@@ -92,8 +92,8 @@ class StieltjesSum:
         w, x = (np.asarray(a, dtype=float).ravel() for a in (self.weights, self.nodes))
         if w.shape != x.shape or not w.size or not np.all(np.isfinite(w) & np.isfinite(x)):
             raise InvalidShape("a Stieltjes sum needs as many finite weights as nodes, and one")
-        if np.any(w <= 0.0) or np.any(x <= 0.0):
-            raise NotPositiveDefinite("a Stieltjes sum needs positive weights and nodes")
+        if np.any(w <= 0.0):
+            raise NotPositiveDefinite("a Stieltjes sum needs positive weights")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "nodes", x)
 

@@ -37,7 +37,7 @@ from .ortho import OrthoCoefficients, eval_ortho_function, gram_schmidt
 # evaluation below this fraction of its smallest node (t = 0 stays exact).
 SMALL_T_FLOOR_FACTOR = 1e-3
 
-FIT_RESIDUAL_WARN = 1e-8
+FIT_RESIDUAL_WARN = 1e-8  # relative; a rational fit also drops terms below it
 NODE_HALF_WIDTH_DECADES = 2.0  # default nodes span this on each side of 1/tau0
 
 
@@ -250,10 +250,13 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
     The collocation solves for (t^p + ... + a_0)/(t^{p+1} + ... + b_0) with a_0 = b_0 * tau0
     (tau(0) = tau0) and monic leading coefficients (the t^-1 asymptote): 2p unknowns for
     2p nodes. p = 0 takes no nodes and gives the upper bound, weight 1 at mu = 1/tau0.
-    The solution is converted once into residues w_j and poles -mu_j. Unless every w_j is
-    positive and every pole real and left of 0 and of the left end of ``eval_domain``
-    (default t_min/2, or 0 without t_min), :class:`PoleInDomain` names the node values:
-    tau is a Stieltjes function, and no decreasing one passes through them.
+    The solution is converted once into residues w_j and poles -mu_j, less the terms too
+    small to show (see below), so a curve of fewer poles fits with fewer terms. Unless
+    every w_j left is positive and every pole real and left of 0 and of the left end of
+    ``eval_domain`` (default t_min/2, or 0 without t_min), :class:`PoleInDomain` names the
+    node values: tau is a Stieltjes function, and no decreasing one passes through them.
+    The fit's largest relative miss of a node value is ``fit_residual``; above
+    ``FIT_RESIDUAL_WARN`` it warns.
     """
     p = int(p)
     if p < 0:
@@ -261,17 +264,25 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
     if len(pts) != 2 * p:
         raise InvalidShape(f"rational fit of degree p={p} needs exactly {2 * p} nodes, "
                            f"got {len(pts)}")
-    numer, denom, residual = (1.0,), (1.0, 1.0 / ctx.tau0), 0.0
+    numer, denom = (1.0,), (1.0, 1.0 / ctx.tau0)
     if p:
-        numer, denom, residual = _collocation(ctx.tau0, pts.ts, pts.taus, p)
+        numer, denom = _collocation(ctx.tau0, pts.ts, pts.taus, p)
     if eval_domain is None:
         eval_domain = (-abs(ctx.t_min) / 2.0 if ctx.t_min is not None else 0.0,)
     left = min(0.0, float(eval_domain[0]))
     poles, slope = np.roots(denom), np.polyder(denom)
+    ts, taus = np.append(0.0, pts.ts), np.append(ctx.tau0, pts.taus)
     with np.errstate(divide="ignore", invalid="ignore"):  # a double pole is refused below
         for _ in range(2):  # polish the companion matrix's roots, a few ulps off
             poles = poles - np.polyval(denom, poles) / np.polyval(slope, poles)
         residues = np.polyval(numer, poles) / np.polyval(slope, poles)
+        terms = np.abs(residues[:, None] / (ts - poles[:, None])) / taus
+    # Values from a curve of fewer than p + 1 poles leave the collocation singular, and the
+    # solution it returns has extra poles whose terms are noise: they move neither the
+    # total weight nor tau0 nor any node value by FIT_RESIDUAL_WARN. They are dropped.
+    noise = ((np.abs(residues) <= FIT_RESIDUAL_WARN * np.sum(np.abs(residues)))
+             & np.all(terms <= FIT_RESIDUAL_WARN, axis=1))
+    poles, residues = poles[~noise], residues[~noise]
     bad = np.iscomplex(poles) | (poles.real >= left) | ~(residues.real > 0.0)
     if np.any(bad):
         raise PoleInDomain(
@@ -280,8 +291,13 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
             f"{pts.taus.tolist()} at t = {pts.ts.tolist()} are inconsistent with a decreasing "
             "Stieltjes curve (stochastic noise or lost accuracy in the trace estimates)",
             poles=poles[bad].tolist())
+    curve = StieltjesSum(residues.real, -poles.real)
+    residual = float(np.max(np.abs(curve(pts.ts) - pts.taus) / pts.taus, initial=0.0))
+    if residual > FIT_RESIDUAL_WARN:
+        warnings.warn(f"rational fit misses a node value by {residual:.2e} relative; "
+                      "consider moving the nodes", stacklevel=2)
     return Interpolant(variant="rational", tau0=ctx.tau0, p=p, fit_residual=residual,
-                       curve=StieltjesSum(residues.real, -poles.real))
+                       curve=curve)
 
 
 def _collocation(tau0, ts, taus, p):
@@ -299,16 +315,15 @@ def _collocation(tau0, ts, taus, p):
         design[:, p + k - 1] = ts**k
     rhs = ts**p / taus - ts ** (p + 1)
     try:
-        sol = scipy.linalg.solve(design, rhs)
+        with warnings.catch_warnings():
+            # a nearly singular system is expected (see fit_rational), which checks the
+            # fit against the node values instead
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            sol = scipy.linalg.solve(design, rhs)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"rational collocation system is singular: {exc}") from exc
-    residual = float(np.linalg.norm(design @ sol - rhs, np.inf)
-                     / max(np.linalg.norm(rhs, np.inf), 1e-300))
-    if residual > FIT_RESIDUAL_WARN:
-        warnings.warn(f"rational fit residual {residual:.2e} is large; "
-                      "consider moving the nodes", stacklevel=3)
     a, b0, b = sol[: p - 1], sol[p - 1], sol[p:]  # a_1..a_{p-1}, b_0, b_1..b_p
-    return (1.0, *a[::-1], b0 * tau0), (1.0, *b[::-1], b0), residual
+    return (1.0, *a[::-1], b0 * tau0), (1.0, *b[::-1], b0)
 
 
 def eval_rational(interp: Interpolant, t):

@@ -158,9 +158,13 @@ class TestExactEigen:
         total = np.trace(np.linalg.inv(B.to_dense()))
         assert np.sum(trace_inv_exact_eigen(A, B).weights) == pytest.approx(total, rel=1e-12)
 
-    def test_indefinite_a_refused_when_prepared(self):
+    def test_indefinite_a_answers_where_the_shift_is_spd(self):
+        # A + tI is SPD for t > 2: refused at t = 0, answered at t = 3
+        backend = prepare_trace(SpdMatrix.from_dense(np.diag([1.0, -2.0])), method="eigen")
         with pytest.raises(NotPositiveDefinite):
-            prepare_trace(SpdMatrix.from_dense(np.diag([1.0, -2.0])), method="eigen")
+            backend([0.0])
+        (est,) = backend([3.0])
+        assert est.value == pytest.approx(1.0 / 4.0 + 1.0 / 1.0, rel=1e-15)
 
     def test_identity_pair(self):
         f = trace_inv_exact_eigen(SpdMatrix.identity(6), SpdMatrix.identity(6))
