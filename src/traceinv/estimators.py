@@ -79,10 +79,10 @@ class LanczosTriDiag:
 class StieltjesSum:
     """The positive sum t -> sum_j w_j / (x_j + t), defined for t > -min(x_j).
 
-    Every tau curve here has this form: an eigendecomposition's trace, a fitted
-    rational interpolant, and the bound tau0 / (1 + t*tau0), one weight 1 at 1/tau0.
-    Weights are positive, so the sum is positive and decreasing on its domain,
-    whatever the sign of the nodes. It takes a scalar t (giving a float) or an array.
+    Every tau curve here has this form: an eigendecomposition's trace, a fitted rational
+    interpolant, and the bound tau0 / (1 + t*tau0), one weight 1 at 1/tau0. Positive weights
+    make it positive and decreasing on its domain, whatever the sign of the nodes. It takes
+    a scalar t (giving a float) or an array.
     """
 
     weights: np.ndarray = field(repr=False)
@@ -151,10 +151,6 @@ def trace_inv_exact_eigen(A: SpdMatrix, B: SpdMatrix | None = None) -> Stieltjes
     return StieltjesSum(np.sum(V**2, axis=0), gamma)
 
 
-def _sample_rng(seed, index):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
 def _probe_count(n_v, seed):
     """n_v as an int, checked together with the seed before any work is done."""
     if seed is None:
@@ -164,9 +160,10 @@ def _probe_count(n_v, seed):
 
 def _probe_blocks(n, n_v, seed):
     """The Rademacher probes of ``seed`` as (n, <= PROBE_BLOCK) blocks; probe k is column k."""
+    streams = np.random.SeedSequence(seed).spawn(n_v)  # probe k's has spawn key (k,)
     for start in range(0, n_v, PROBE_BLOCK):
-        yield np.column_stack([_sample_rng(seed, k).integers(0, 2, size=n) * 2.0 - 1.0
-                               for k in range(start, min(n_v, start + PROBE_BLOCK))])
+        yield np.column_stack([np.random.default_rng(s).integers(0, 2, size=n) * 2.0 - 1.0
+                               for s in streams[start:start + PROBE_BLOCK]])
 
 
 def _sample_mean(samples, method, seed) -> TraceEstimate:

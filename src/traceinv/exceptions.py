@@ -8,11 +8,10 @@ class TraceInvError(Exception):
 class NotPositiveDefinite(TraceInvError):
     """A matrix expected to be symmetric positive definite is not.
 
-    Raised when a Cholesky pivot is non-positive (or below the pivot
-    tolerance), or when a quadrature node of a stochastic estimator comes
-    out non-positive. For shifted operands A + t*B this signals that t is
-    at or below t_min, and for a ``StieltjesSum`` that t is at or left of its
-    first pole.
+    Raised when a Cholesky pivot is non-positive (or below the pivot tolerance), or when
+    a quadrature node of a stochastic estimator comes out non-positive. For shifted
+    operands A + t*B this signals that t is at or below t_min, and for a
+    ``StieltjesSum`` that t is at or left of its first pole.
     """
 
 

@@ -127,12 +127,11 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
                   sweep=(1e-4, 1e3, 100), sampling="grid", seed=0) -> GpExperimentResult:
     """Interpolate tau(t) = trace((K + t*I)^-1)/n for a kernel matrix K.
 
-    The benchmark curve is computed exactly by Cholesky factorization at
-    every point of ``sweep_grid(sweep)``; for each p a basis interpolant is
-    fitted to p nodes and compared against the benchmark. Curve, tau0 and
-    nodes share one back-end, so a shift that recurs among them is factored
-    once. Node reproduction is checked to 1e-8 relative as a built-in sanity
-    gate.
+    The benchmark curve is computed exactly by Cholesky factorization at every point of
+    ``sweep_grid(sweep)``; for each p a basis interpolant is fitted to p nodes and compared
+    against the benchmark. Curve, tau0 and nodes share one back-end, so a shift that recurs
+    among them is factored once. Node reproduction is checked to 1e-8 relative as a
+    built-in sanity gate.
     """
     if side**2 > 10**4:
         raise InvalidShape("side^2 is limited to 10^4 (desk scale)")

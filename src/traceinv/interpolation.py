@@ -250,13 +250,11 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
     The collocation solves for (t^p + ... + a_0)/(t^{p+1} + ... + b_0) with a_0 = b_0 * tau0
     (tau(0) = tau0) and monic leading coefficients (the t^-1 asymptote): 2p unknowns for
     2p nodes. p = 0 takes no nodes and gives the upper bound, weight 1 at mu = 1/tau0.
-    The solution is converted once into residues w_j and poles -mu_j, less the terms too
-    small to show (see below), so a curve of fewer poles fits with fewer terms. Unless
-    every w_j left is positive and every pole real and left of 0 and of the left end of
-    ``eval_domain`` (default t_min/2, or 0 without t_min), :class:`PoleInDomain` names the
-    node values: tau is a Stieltjes function, and no decreasing one passes through them.
-    The fit's largest relative miss of a node value is ``fit_residual``; above
-    ``FIT_RESIDUAL_WARN`` it warns.
+    The solution is converted once into residues w_j and poles -mu_j, less terms too small
+    to show. Unless every w_j left is positive and every pole real and left of 0 and of
+    ``eval_domain``'s left end (default t_min/2, or 0 without t_min), :class:`PoleInDomain`
+    names the node values: no decreasing Stieltjes curve, as tau is, passes through them.
+    ``fit_residual`` is the largest relative miss of a node value; above 1e-8 it warns.
     """
     p = int(p)
     if p < 0:
@@ -264,24 +262,20 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
     if len(pts) != 2 * p:
         raise InvalidShape(f"rational fit of degree p={p} needs exactly {2 * p} nodes, "
                            f"got {len(pts)}")
-    numer, denom = (1.0,), (1.0, 1.0 / ctx.tau0)
-    if p:
-        numer, denom = _collocation(ctx.tau0, pts.ts, pts.taus, p)
-    if eval_domain is None:
-        eval_domain = (-abs(ctx.t_min) / 2.0 if ctx.t_min is not None else 0.0,)
-    left = min(0.0, float(eval_domain[0]))
+    numer, denom = (_collocation(ctx.tau0, pts.ts, pts.taus, p) if p
+                    else ((1.0,), (1.0, 1.0 / ctx.tau0)))
+    default_left = -abs(ctx.t_min) / 2.0 if ctx.t_min is not None else 0.0
+    left = min(0.0, float(eval_domain[0]) if eval_domain is not None else default_left)
     poles, slope = np.roots(denom), np.polyder(denom)
-    ts, taus = np.append(0.0, pts.ts), np.append(ctx.tau0, pts.taus)
     with np.errstate(divide="ignore", invalid="ignore"):  # a double pole is refused below
         for _ in range(2):  # polish the companion matrix's roots, a few ulps off
             poles = poles - np.polyval(denom, poles) / np.polyval(slope, poles)
         residues = np.polyval(numer, poles) / np.polyval(slope, poles)
-        terms = np.abs(residues[:, None] / (ts - poles[:, None])) / taus
-    # Values from a curve of fewer than p + 1 poles leave the collocation singular, and the
-    # solution it returns has extra poles whose terms are noise: they move neither the
-    # total weight nor tau0 nor any node value by FIT_RESIDUAL_WARN. They are dropped.
+        terms = np.abs(residues[:, None] / (np.append(0.0, pts.ts) - poles[:, None]))
+    # A curve of fewer than p + 1 poles leaves the collocation singular. Its extra poles' terms
+    # are noise, dropped: they move no node value, tau0 or total weight by FIT_RESIDUAL_WARN.
     noise = ((np.abs(residues) <= FIT_RESIDUAL_WARN * np.sum(np.abs(residues)))
-             & np.all(terms <= FIT_RESIDUAL_WARN, axis=1))
+             & np.all(terms <= FIT_RESIDUAL_WARN * np.append(ctx.tau0, pts.taus), axis=1))
     poles, residues = poles[~noise], residues[~noise]
     bad = np.iscomplex(poles) | (poles.real >= left) | ~(residues.real > 0.0)
     if np.any(bad):
@@ -315,9 +309,7 @@ def _collocation(tau0, ts, taus, p):
         design[:, p + k - 1] = ts**k
     rhs = ts**p / taus - ts ** (p + 1)
     try:
-        with warnings.catch_warnings():
-            # a nearly singular system is expected (see fit_rational), which checks the
-            # fit against the node values instead
+        with warnings.catch_warnings():  # fit_rational checks the nodes instead
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             sol = scipy.linalg.solve(design, rhs)
     except scipy.linalg.LinAlgError as exc:
