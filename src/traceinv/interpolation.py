@@ -312,8 +312,8 @@ def _collocation(tau0, ts, taus, p):
         with warnings.catch_warnings():  # fit_rational checks the nodes instead
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             sol = scipy.linalg.solve(design, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"rational collocation system is singular: {exc}") from exc
+    except scipy.linalg.LinAlgError:  # exactly singular: take its least-squares solution
+        sol = scipy.linalg.lstsq(design, rhs)[0]
     a, b0, b = sol[: p - 1], sol[p - 1], sol[p:]  # a_1..a_{p-1}, b_0, b_1..b_p
     return (1.0, *a[::-1], b0 * tau0), (1.0, *b[::-1], b0)
 

@@ -342,10 +342,12 @@ class TestRationalInterpolant:
 
     @pytest.mark.parametrize("diagonal, p", [
         ([2.0] * 5, 1), ([2.0], 1), ([2.0], 2), ([1.0, 3.0], 2), ([1.0, 3.0, 3.0], 2),
+        ([0.025450988016812982] * 3, 2),  # LU met an exactly zero pivot on one build
     ])
     def test_curve_of_fewer_poles_fits_with_fewer_terms(self, diagonal, p):
-        # fewer than p + 1 eigenvalues leave the collocation singular; the extra poles it
-        # returns carry terms at rounding level, which are dropped
+        # fewer than p + 1 eigenvalues leave the collocation singular (an exactly singular
+        # one is solved by least squares); the extra poles carry terms at rounding level,
+        # which are dropped
         ctx = diag_context(diagonal)
         pts = compute_tau_at_nodes(ctx, default_nodes(ctx.tau0, 2 * p))
         curve = fit_rational(ctx, pts, p).curve
