@@ -1,27 +1,25 @@
 """Exact and stochastic estimators of trace(M^-1).
 
-The exact Cholesky route turns the packed operand (n(n+1)/2 entries) in
-place into the inverse of its factor in one recursive BLAS-3 pass with no
-triangular solve (``matrices.inverse_factor``), and sums the squares of
-that array on one thread, so it needs no other buffer and sums no zeros.
-Hutchinson alone factors with dpftrf (``matrices.cholesky``). A prepared back-end
-computes each distinct shift once. The stochastic routes (Hutchinson and
-stochastic Lanczos quadrature) draw Rademacher probe vectors from
-per-sample seed streams derived from one master seed, which makes results
-reproducible and independent of the order in which samples are processed.
+Every trace kernel takes one operand M, never written, that ``shifted_operand`` forms
+as A + t*B (O(1) for B = I); ``prepare_trace`` is the one loop over t. The exact
+Cholesky route turns a packed copy of M (n(n+1)/2 entries) in place into the inverse of
+its factor in one recursive BLAS-3 pass with no triangular solve
+(``matrices.inverse_factor``) and sums its squares on one thread, so it needs no other
+buffer and sums no zeros. Hutchinson alone factors with dpftrf (``matrices.cholesky``).
+The stochastic routes draw Rademacher probes from per-sample seed streams derived from
+one master seed, so results are reproducible and independent of processing order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .exceptions import InvalidShape, NotPositiveDefinite
 from .matrices import (PIVOT_RTOL, SpdMatrix, checked_count, checked_orders, checked_shift,
-                       _packed_shift, cholesky, forward_solve, inverse_factor, lapack_map)
+                       _packed, cholesky, forward_solve, inverse_factor, lapack_map)
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
 PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
@@ -107,28 +105,33 @@ class StieltjesSum:
         return float(values) if t.ndim == 0 else values
 
 
-def shifted_operand(A: SpdMatrix, B: SpdMatrix, t) -> SpdMatrix:
-    """A + t*B (B = None means B = I) as a packed operand, never re-scanned for symmetry.
+def shifted_operand(A: SpdMatrix, B: SpdMatrix | None, t) -> SpdMatrix:
+    """A + t*B (B = None means B = I), the only code that shifts an operand.
 
-    For a packed A and B = I it is O(1): A's own array, carrying the shift
-    A.shift + t, which every reader adds (so shifts compose as one sum).
-    A stored B, or an identity A, gets one fresh packed array from ``_packed_shift``.
+    For B = I it is O(1): A's own storage carrying the shift A.shift + t, which every
+    reader adds, so shifts compose as one sum. A stored B gives one fresh packed array,
+    t*B then A added (as A + t*B rounds), or A itself at t = 0; none is re-checked for symmetry.
     """
-    if A.kind == "packed" and (B is None or B.is_identity):
-        checked_orders(A, B)
-        return SpdMatrix(A.n, "packed", A.data, A.shift + checked_shift(t))
-    return SpdMatrix(A.n, "packed", _packed_shift(A, B, t)[0])
+    checked_orders(A, B)
+    t = checked_shift(t)
+    if B is None or B.is_identity:
+        return replace(A, shift=A.shift + t)
+    if t == 0.0:
+        return A
+    packed = _packed(B)
+    packed *= t
+    packed += _packed(A)
+    return SpdMatrix(A.n, "packed", packed)
 
 
-def trace_inv_exact_cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> TraceEstimate:
-    """trace(M^-1) as the squared Frobenius norm of L^-1 from M = A + t*B = L L^T.
+def trace_inv_exact_cholesky(M: SpdMatrix) -> TraceEstimate:
+    """trace(M^-1) as the squared Frobenius norm of L^-1 from M = L L^T.
 
-    B = None means B = I. ``inverse_factor`` returns U^-1 = L^-T packed in one fresh array
-    of n(n+1)/2 entries (a stored B adds one packed temporary): each entry of L^-1 once and
-    no zeros, squared in place and summed by numpy's pairwise reduction on one thread (a
-    BLAS dot would wake numpy's own thread pool).
+    ``inverse_factor`` returns U^-1 = L^-T packed in one fresh array of n(n+1)/2 entries:
+    each entry of L^-1 once and no zeros, squared in place and summed by numpy's pairwise
+    reduction on one thread (a BLAS dot would wake numpy's own thread pool).
     """
-    W = inverse_factor(A, B, t)
+    W = inverse_factor(M)
     np.square(W, out=W)
     return TraceEstimate(value=float(W.sum()), method="exact-cholesky")
 
@@ -174,17 +177,15 @@ def _sample_mean(samples, method, seed) -> TraceEstimate:
                          std_error=std_error, seed=int(seed))
 
 
-def trace_inv_hutchinson(A: SpdMatrix, n_v, seed, B: SpdMatrix | None = None,
-                         t=0.0) -> TraceEstimate:
-    """Monte-Carlo trace estimate (1/n_v) * sum_k z_k^T M^-1 z_k of M = A + t*B.
+def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
+    """Monte-Carlo trace estimate (1/n_v) * sum_k z_k^T M^-1 z_k.
 
-    B = None means B = I. Probes z_k are Rademacher. One Cholesky
-    factorization of M, packed, serves every probe, and each probe block
-    takes one dtfsm solve on it.
+    Probes z_k are Rademacher. One Cholesky factorization of M, packed,
+    serves every probe, and each probe block takes one dtfsm solve on it.
     """
     n_v = _probe_count(n_v, seed)
-    U = cholesky(A, B, t)
-    solves = (forward_solve(U, Z) for Z in _probe_blocks(A.n, n_v, seed))  # Y = L^-1 Z
+    U = cholesky(M)
+    solves = (forward_solve(U, Z) for Z in _probe_blocks(M.n, n_v, seed))  # Y = L^-1 Z
     samples = np.concatenate([np.sum(np.square(Y, out=Y), axis=0) for Y in solves])
     return _sample_mean(samples, "hutchinson", seed)
 
@@ -234,15 +235,13 @@ def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
     return LanczosTriDiag(alpha=alpha, beta=beta, steps=steps)
 
 
-def trace_inv_slq(A: SpdMatrix, n_v, degree, seed, B: SpdMatrix | None = None,
-                  t=0.0) -> TraceEstimate:
-    """Stochastic Lanczos quadrature estimate of trace(M^-1) of M = A + t*B.
+def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
+    """Stochastic Lanczos quadrature estimate of trace(M^-1).
 
-    B = None means B = I. M is ``shifted_operand``'s: for B = I that is A's
-    own array with a diagonal shift, and a stored B is added into a fresh packed
-    array only when t != 0 (at t = 0 the recurrences run on A itself). Each
-    Rademacher probe is normalized to a unit start vector, and each probe
-    block is one ``lanczos`` call. The Gauss quadrature weights w_j are the
+    The recurrences read M in place, its shift included, so a B = I shift
+    from ``shifted_operand`` is never added into a copy. Each Rademacher
+    probe is normalized to a unit start vector, and each probe block is one
+    ``lanczos`` call. The Gauss quadrature weights w_j are the
     squared first components of each probe's tridiagonal eigenvectors, and
     its estimate is n * sum_j w_j / theta_j. A quadrature node theta_j at or
     below PIVOT_RTOL times M's largest entry signals a numerically indefinite
@@ -250,7 +249,6 @@ def trace_inv_slq(A: SpdMatrix, n_v, degree, seed, B: SpdMatrix | None = None,
     """
     n_v = _probe_count(n_v, seed)
     degree = checked_count("degree", degree)
-    M = shifted_operand(A, B, t) if t != 0.0 else A
     floor, samples = PIVOT_RTOL * M.entry_norm(), []
     for Z in _probe_blocks(M.n, n_v, seed):
         tri = lanczos(M, Z, degree)
@@ -275,10 +273,11 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
     B = None means B = I. This is the one reader of a method name: the method, and the
     seed, n_v and degree it uses, are checked before any work, and every shift of a call
     is checked finite before any is computed. ``method="eigen"`` does its one eigensolve
-    here, so each later shift costs O(n); every method computes each distinct shift once,
-    kept across calls, and a call's new Cholesky shifts side by side (``matrices.lapack_map``,
-    bit for bit). The seed names one probe set, drawn at every shift, so a repeated shift
-    needs no second estimate and a stochastic sweep decreases in t. The back-end's
+    here, so each later shift costs O(n); every other method runs its kernel on
+    ``shifted_operand(A, B, t)``. Each distinct shift is computed once, kept across calls,
+    and a call's new Cholesky shifts run side by side (``matrices.lapack_map``, bit for
+    bit). The seed names one probe set, drawn at every shift, so a repeated shift needs
+    no second estimate and a stochastic sweep decreases in t. The back-end's
     ``trace_b_inv``, taken here, is trace(B^-1): the eigen sum's total weight, n for
     B = I, and otherwise the same estimator and probe set applied to B.
     """
@@ -286,30 +285,32 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
     # Estimators are looked up at call time, so wrappers put on the module see each call.
     if method == "eigen":
         curve = trace_inv_exact_eigen(A, B)
-
-        def estimate(M, B, t):
-            return TraceEstimate(value=curve(t), method="exact-eigen")
     elif method == "cholesky":
-        def estimate(M, B, t):
-            return trace_inv_exact_cholesky(M, B, t)
+        def kernel(M):
+            return trace_inv_exact_cholesky(M)
     elif method == "hutchinson":
         n_v = _probe_count(n_v, seed)
 
-        def estimate(M, B, t):
-            return trace_inv_hutchinson(M, n_v, seed, B, t)
+        def kernel(M):
+            return trace_inv_hutchinson(M, n_v, seed)
     elif method == "slq":
         n_v, degree = _probe_count(n_v, seed), checked_count("degree", degree)
 
-        def estimate(M, B, t):
-            return trace_inv_slq(M, n_v, degree, seed, B, t)
+        def kernel(M):
+            return trace_inv_slq(M, n_v, degree, seed)
     else:
         raise InvalidShape(f"unknown trace method {method!r}")
+
+    def estimate(t):
+        if method == "eigen":
+            return TraceEstimate(value=curve(t), method="exact-eigen")
+        return kernel(shifted_operand(A, B, t))
     estimates = {}  # float(t) -> TraceEstimate
 
     def backend(ts):
         ts = [checked_shift(t) for t in ts]
-        new, at = [t for t in dict.fromkeys(ts) if t not in estimates], partial(estimate, A, B)
-        computed = lapack_map(at, new, A.n) if method == "cholesky" else map(at, new)
+        new = [t for t in dict.fromkeys(ts) if t not in estimates]
+        computed = lapack_map(estimate, new, A.n) if method == "cholesky" else map(estimate, new)
         estimates.update(zip(new, computed))
         return [estimates[t] for t in ts]
     if method == "eigen":
@@ -317,5 +318,5 @@ def prepare_trace(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky", n
     elif B is None or B.is_identity:
         backend.trace_b_inv = float(A.n)
     else:
-        backend.trace_b_inv = estimate(B, None, 0.0).value
+        backend.trace_b_inv = kernel(B).value
     return backend

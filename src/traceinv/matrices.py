@@ -2,9 +2,11 @@
 
 Everything downstream (trace estimators, interpolants, the experiment
 drivers) consumes what is defined here: ``SpdMatrix`` for the operands
-A and B, ``cholesky`` and ``inverse_factor`` for their packed Cholesky
-factor and its inverse, ``forward_solve`` for solves with the factor,
+A and B, ``cholesky`` and ``inverse_factor`` for the packed Cholesky factor
+of one operand and its inverse, ``forward_solve`` for solves with the factor,
 ``PointCloud`` for the spatial kernel study and ``DesignMatrix`` for ridge regression.
+Nothing here shifts an operand: the factorizations take A + t*B as the one operand
+``estimators.shifted_operand`` forms, and copy it without writing it.
 """
 
 from __future__ import annotations
@@ -382,22 +384,6 @@ def _packed(S: SpdMatrix) -> np.ndarray:
     return packed
 
 
-def _packed_shift(A: SpdMatrix, B: SpdMatrix | None, t):
-    """(A + t*B packed in one fresh array, its diagonal's positions, its largest diagonal
-    entry), B = None meaning B = I. From ``_packed`` A and B, each with its shift: t*B, then A
-    added, which rounds as A + t*B does; for B = I each diagonal entry is (a_ii + A.shift) + t."""
-    checked_orders(A, B)
-    t, diagonal = checked_shift(t), packed_diagonal(A.n)
-    if B is None or B.is_identity:
-        packed = _packed(A)
-        packed[diagonal] += t
-    else:
-        packed = _packed(B)
-        packed *= t
-        packed += _packed(A)
-    return packed, diagonal, float(np.max(packed[diagonal]))
-
-
 def _check_factored(info, max_diag, min_pivot):
     """NotPositiveDefinite for a failed leading minor (info > 0, 1-based), or else for a
     smallest pivot min_pivot() whose square is below PIVOT_RTOL * max_diag."""
@@ -408,33 +394,32 @@ def _check_factored(info, max_diag, min_pivot):
                                   f"{PIVOT_RTOL * max_diag:.3e}; matrix is numerically indefinite")
 
 
-def cholesky(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
-    """Packed upper factor U = L^T with A + t*B = U^T U (B = None means B = I).
+def cholesky(M: SpdMatrix) -> np.ndarray:
+    """Packed upper factor U = L^T with M = U^T U.
 
     U is one fresh array of n(n+1)/2 entries (``packed_diagonal``; Gustavson, Wasniewski,
-    Dongarra & Langou, ACM TOMS 2010): ``_packed_shift`` forms A + t*B there and dpftrf
-    factors it in place. Only Hutchinson's probe solves need U itself; an exact trace takes
-    ``inverse_factor``. Raises NotPositiveDefinite; A and B are never written."""
-    packed, diagonal, max_diag = _packed_shift(A, B, t)
-    info = ctypes.c_int(0)
-    with lapack_threads(A.n):
-        _dpftrf(b"N", b"U", ctypes.c_int(A.n), packed.ctypes.data, info)
-    _check_factored(info.value, max_diag, lambda: float(np.min(packed[diagonal])))
-    return packed
+    Dongarra & Langou, ACM TOMS 2010): ``_packed`` copies M there and dpftrf factors it in
+    place. Only Hutchinson's probe solves need U itself; an exact trace takes
+    ``inverse_factor``. Raises NotPositiveDefinite; M is never written."""
+    U, info = _packed(M), ctypes.c_int(0)
+    with lapack_threads(M.n):
+        _dpftrf(b"N", b"U", ctypes.c_int(M.n), U.ctypes.data, info)
+    _check_factored(info.value, M.entry_norm(), lambda: float(np.min(U[packed_diagonal(M.n)])))
+    return U
 
 
-def inverse_factor(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarray:
-    """U^-1 for A + t*B = U^T U (B = None means B = I), in ``cholesky``'s packed storage.
+def inverse_factor(M: SpdMatrix) -> np.ndarray:
+    """U^-1 for M = U^T U, in ``cholesky``'s packed storage.
 
-    ``_packed_shift`` forms A + t*B, turned into U^-1 in place in one pass with no solve:
+    ``_packed`` copies M, turned into U^-1 in place in one pass with no solve:
     ``_factor_invert`` on T1 (U11^T, lower), U12 = U11^-T A12 by dtrmm, A22 - U12^T U12 by
     dsyrk into T2, ``_factor_invert`` on T2 (U22, upper), then dtftri's two dtrmm calls for
     -U11^-1 U12 U22^-1. Raises NotPositiveDefinite with dpftrf's info; the smallest pivot
-    is 1 / max(U^-1_ii). A and B are never written."""
-    packed, diagonal, max_diag = _packed_shift(A, B, t)
-    n1, n2, ld, base = A.n // 2, A.n - A.n // 2, 2 * (A.n // 2) + 1, packed.ctypes.data
+    is 1 / max(U^-1_ii). M is never written."""
+    W = _packed(M)
+    n1, n2, ld, base = M.n // 2, M.n - M.n // 2, 2 * (M.n // 2) + 1, W.ctypes.data
     T1, T2, rows, cols, lda = base + 8 * (n1 + 1), base + 8 * n1, *map(ctypes.c_int, (n1, n2, ld))
-    with lapack_threads(A.n):
+    with lapack_threads(M.n):
         if not (info := _factor_invert(b"L", T1, ld, n1)):
             _dtrmm(b"L", b"L", b"N", b"N", rows, cols, _ONE, T1, lda, base, lda)
             _dsyrk(b"U", b"T", cols, rows, _MINUS_ONE, base, lda, _ONE, T2, lda)
@@ -443,8 +428,8 @@ def inverse_factor(A: SpdMatrix, B: SpdMatrix | None = None, t=0.0) -> np.ndarra
             else:
                 _dtrmm(b"L", b"L", b"T", b"N", rows, cols, _MINUS_ONE, T1, lda, base, lda)
                 _dtrmm(b"R", b"U", b"N", b"N", rows, cols, _ONE, T2, lda, base, lda)
-    _check_factored(info, max_diag, lambda: 1.0 / float(np.max(packed[diagonal])))
-    return packed
+    _check_factored(info, M.entry_norm(), lambda: 1.0 / float(np.max(W[packed_diagonal(M.n)])))
+    return W
 
 
 def forward_solve(U, Z) -> np.ndarray:

@@ -81,9 +81,9 @@ def cholesky_calls(monkeypatch):
     (Hutchinson) and every ``inverse_factor`` call (exact traces)."""
     calls = []
     for name in ("cholesky", "inverse_factor"):
-        def counting(A, B=None, t=0.0, factor=getattr(traceinv.estimators, name)):
-            calls.append(A.n)
-            return factor(A, B, t)
+        def counting(M, factor=getattr(traceinv.estimators, name)):
+            calls.append(M.n)
+            return factor(M)
 
         monkeypatch.setattr(traceinv.estimators, name, counting)
     return calls

@@ -246,15 +246,22 @@ def test_empty_or_invalid_sweep_refused(tmp_path, capsys, sweep):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["interpolate", "--kernel", "4,0.1", "--variant", "rational", "--p", "-1"],
-    ["gcv-experiment", "--n", "40", "--m", "20", "--curve-points", "-3"]],
-    ids=["p", "curve-points"])
-def test_negative_count_refused(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["interpolate", "--kernel", "4,0.1", "--variant", "rational", "--p", "-1"],
+     "--p: must be at least 0, got -1"),
+    (["gcv-experiment", "--n", "40", "--m", "20", "--curve-points", "-3"],
+     "--curve-points: must be at least 0, got -3"),
+    (["trace", "--t", "0", "--kernel", "5"], "--kernel: takes SIDE,RHO, got 5"),
+    (["trace", "--t", "0", "--kernel", "5,x"], "--kernel: takes SIDE,RHO, got 5,x"),
+    (["trace", "--t", "0", "--design", "10,5"], "--design: takes N,M,SEED, got 10,5"),
+    (["trace", "--t", "0", "--design", "10,5,0.5"], "--design: takes N,M,SEED, got 10,5,0.5")],
+    ids=["p", "curve-points", "kernel-arity", "kernel-number", "design-arity", "design-number"])
+def test_malformed_option_refused(tmp_path, capsys, argv, message):
+    # a usage error (status 2) before any work, never a traceback with status 1
     with pytest.raises(SystemExit) as refused:
         main([*argv, "--out", str(tmp_path / "o")])
     assert refused.value.code == 2
-    assert f"{argv[-2]}: must be at least 0, got {argv[-1]}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -26,6 +26,7 @@ from traceinv import (
     trace_inv_slq,
 )
 from traceinv.estimators import lanczos, trace_inv_exact_eigen
+from traceinv.experiments import make_gcv_problem
 from traceinv.matrices import cholesky, inverse_factor
 
 import traceinv.estimators
@@ -38,6 +39,7 @@ class TestShiftedOperand:
         A = SpdMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
         M = shifted_operand(A, SpdMatrix.identity(2), 0.0)
         np.testing.assert_array_equal(M.to_dense(), A.to_dense())
+        assert shifted_operand(A, SpdMatrix.from_dense(np.eye(2)), 0.0) is A  # A + 0*B is A
 
     def test_identity_plus_identity(self):
         M = shifted_operand(SpdMatrix.identity(3), SpdMatrix.identity(3), 2.0)
@@ -99,8 +101,8 @@ class TestShiftedOperand:
         A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, n))
         I = SpdMatrix.identity(n)
         assert traced_peak_bytes(shifted_operand, A, I, 0.5) < n * n * 8
-        slq = functools.partial(trace_inv_slq, n_v=4, degree=10, seed=0, t=0.5)
-        assert traced_peak_bytes(slq, A) < n * n * 8
+        slq = functools.partial(trace_inv_slq, n_v=4, degree=10, seed=0)
+        assert traced_peak_bytes(slq, shifted_operand(A, I, 0.5)) < n * n * 8
 
     def test_order_mismatch(self):
         with pytest.raises(Exception):
@@ -429,8 +431,8 @@ def test_sweep_matches_per_shift_calls(rng):
 def test_no_b_means_identity(estimator, args):
     # B = None is B = I at every shift; the shift is not dropped
     A = SpdMatrix.from_dense(np.diag([1.0, 2.0, 4.0]))
-    default = estimator(A, *args, t=1.0)
-    assert default == estimator(A, *args, B=SpdMatrix.identity(3), t=1.0)
+    default = estimator(shifted_operand(A, None, 1.0), *args)
+    assert default == estimator(shifted_operand(A, SpdMatrix.identity(3), 1.0), *args)
     assert default.value != estimator(A, *args).value
     if estimator is trace_inv_exact_cholesky:
         assert default.value == pytest.approx(1 / 2 + 1 / 3 + 1 / 5, rel=1e-15)
@@ -485,14 +487,12 @@ def test_non_finite_estimate_refused(value):
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("estimate", [
-    lambda A, t: trace_inv_exact_cholesky(A, None, t),
-    lambda A, t: trace_inv_hutchinson(A, 2, 0, None, t),
-    lambda A, t: trace_inv_slq(A, 2, 3, 0, None, t),
-], ids=["cholesky", "hutchinson", "slq"])
-def test_estimator_refuses_non_finite_shift(estimate, t):
+@pytest.mark.parametrize("B", [None, SpdMatrix.identity(3), SpdMatrix.from_dense(np.eye(3))],
+                         ids=["none", "identity", "stored"])
+def test_shifted_operand_refuses_non_finite_shift(B, t):
+    # the one place a shift meets an operand, so no kernel sees a non-finite one
     with pytest.raises(InvalidShape, match=f"shift t={t} is not finite"):
-        estimate(SpdMatrix.from_dense(np.diag([1.0, 2.0, 4.0])), t)
+        shifted_operand(SpdMatrix.from_dense(np.diag([1.0, 2.0, 4.0])), B, t)
 
 
 FOOTPRINT_ORDER, FOOTPRINT_PROBES = 600, 8
@@ -513,17 +513,26 @@ def test_trace_holds_packed_arrays(rng, method, dense_b, squares):
 
 
 class TestDistinctShifts:
-    def test_repeated_shifts_factor_once(self, rng, cholesky_calls):
-        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))
-        I = SpdMatrix.identity(8)
-        ts = [1.0, 0.5, 1.0, 0.5, 0.0]
-        backend = prepare_trace(A, I)
+    @pytest.mark.parametrize("operand, method", [("random", "cholesky"), ("gcv", "cholesky"),
+                                                 ("gcv", "hutchinson")])
+    def test_repeated_shifts_factor_once(self, rng, cholesky_calls, operand, method):
+        # the GCV operand X^T X + s*I carries its own shift, and the back-end's s + t
+        # must round as the direct call's
+        if operand == "gcv":
+            A = make_gcv_problem(n=400, m=200, seed=287).shifted_gram
+            shifts = list(np.logspace(-6, 1, 40))
+        else:
+            A, shifts = spd_from_eigenvalues(rng, rng.uniform(0.5, 2.0, 8))[0], [1.0, 0.5, 0.0]
+        I, ts = SpdMatrix.identity(A.n), shifts[:2] + shifts  # each of the first two twice
+        kernel = {"cholesky": trace_inv_exact_cholesky,
+                  "hutchinson": functools.partial(trace_inv_hutchinson, n_v=30, seed=0)}[method]
+        backend = prepare_trace(A, I, method, n_v=30, seed=0)
         sweep = backend(ts)
-        assert len(cholesky_calls) == 3 and len(sweep) == 5
-        assert backend([0.5, 2.0])[0] is sweep[1]  # kept across calls
-        assert len(cholesky_calls) == 4
+        assert len(cholesky_calls) == len(shifts) and len(sweep) == len(ts)
+        assert backend([ts[1], max(ts) + 1.0])[0] is sweep[1]  # kept across calls
+        assert len(cholesky_calls) == len(shifts) + 1
         for t, est in zip(ts, sweep):
-            fresh = trace_inv_exact_cholesky(shifted_operand(A, I, t))
+            fresh = kernel(shifted_operand(A, I, t))
             assert est.value.hex() == fresh.value.hex()
 
     def test_repeated_stochastic_shift_keeps_its_probe_set(self, rng):
@@ -578,7 +587,7 @@ def test_property_batch_matches_per_shift_traces(n, ts, width):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrices, "_batch_width", lambda blas_threads, count: min(width, count))
         batch = prepare_trace(A)(ts)
-    serial = [trace_inv_exact_cholesky(A, None, t) for t in ts]
+    serial = [trace_inv_exact_cholesky(shifted_operand(A, None, t)) for t in ts]
     assert [e.value.hex() for e in batch] == [e.value.hex() for e in serial]
 
 
@@ -588,17 +597,18 @@ class TestExactBatch:
     @pytest.fixture
     def calls(self, monkeypatch):
         """(shift, thread, "start" | "end") for each exact trace, with ``delay``: seconds to
-        sleep before the trace at a shift."""
+        sleep before the trace at a shift. The shift is the operand's: t on these unshifted
+        operands."""
         needs_switchable_blas()
         log, delay, real = [], {}, traceinv.estimators.trace_inv_exact_cholesky
 
-        def recording(A, B=None, t=0.0):
-            log.append((t, threading.get_ident(), "start"))
-            time.sleep(delay.get(t, 0.0))
+        def recording(M):
+            log.append((M.shift, threading.get_ident(), "start"))
+            time.sleep(delay.get(M.shift, 0.0))
             try:
-                return real(A, B, t)
+                return real(M)
             finally:
-                log.append((t, threading.get_ident(), "end"))
+                log.append((M.shift, threading.get_ident(), "end"))
         monkeypatch.setattr(traceinv.estimators, "trace_inv_exact_cholesky", recording)
         return log, delay
 
@@ -638,7 +648,7 @@ class TestExactBatch:
         messages = {}
         for t in (-1.0, -10.5):  # one zero pivot, or ten negative ones: different messages
             with pytest.raises(NotPositiveDefinite) as serial:
-                trace_inv_exact_cholesky(A, None, t)
+                trace_inv_exact_cholesky(shifted_operand(A, None, t))
             messages[t] = str(serial.value)
         assert messages[-1.0] != messages[-10.5]
         monkeypatch.setattr(matrices, "_batch_width", two_wide)
@@ -687,7 +697,7 @@ class TestExactBatch:
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
-        serial = [trace_inv_exact_cholesky(A, None, t).value.hex() for t in ts]
+        serial = [trace_inv_exact_cholesky(shifted_operand(A, None, t)).value.hex() for t in ts]
         assert [e.value.hex() for e in batches[0]] == serial
 
 

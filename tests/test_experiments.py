@@ -432,7 +432,7 @@ def test_stochastic_estimate_without_seed_refused(case, small_problem, monkeypat
     M = SpdMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
     runs = {
         "hutchinson": lambda: trace_inv_hutchinson(M, n_v=3, seed=None),
-        "slq": lambda: trace_inv_slq(M, n_v=3, degree=2, seed=None, t=1.0),
+        "slq": lambda: trace_inv_slq(M, n_v=3, degree=2, seed=None),
         "prepare_trace": lambda: prepare_trace(M, SpdMatrix.identity(3), "slq", seed=None),
         "gcv_experiment": lambda: gcv_experiment(small_problem, method="hutchinson",
                                                  trace_seed=None),

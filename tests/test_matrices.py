@@ -20,6 +20,7 @@ from traceinv import (
     compute_tau_context,
     grid_points,
     random_points,
+    shifted_operand,
     trace_inv_exact_cholesky,
 )
 import traceinv.estimators
@@ -198,8 +199,8 @@ class TestCholesky:
         # inverse_factor returns, addressed through the packed leading dimension
         returned = []
 
-        def spy(A, B=None, t=0.0, real=traceinv.estimators.inverse_factor):
-            returned.append(real(A, B, t))
+        def spy(M, real=traceinv.estimators.inverse_factor):
+            returned.append(real(M))
             return returned[-1]
 
         monkeypatch.setattr(traceinv.estimators, "inverse_factor", spy)
@@ -215,10 +216,10 @@ class TestCholesky:
         B, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 40))
         before, before_b = A.data.copy(), B.data.copy()
         cholesky(A)
-        cholesky(A, B, 0.5)
-        cholesky(A, SpdMatrix.identity(40), 0.5)
+        cholesky(shifted_operand(A, B, 0.5))
+        cholesky(shifted_operand(A, SpdMatrix.identity(40), 0.5))
         trace_inv_exact_cholesky(A)
-        trace_inv_exact_cholesky(A, B, 0.5)
+        trace_inv_exact_cholesky(shifted_operand(A, B, 0.5))
         compute_tau_context(A, method="cholesky")
         compute_tau_context(A, B, method="cholesky")
         np.testing.assert_array_equal(A.data, before)
@@ -236,7 +237,7 @@ class TestCholesky:
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
         B = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))[0] if dense_b \
             else SpdMatrix.identity(30)
-        U = cholesky(A, B, 0.7)
+        U = cholesky(shifted_operand(A, B, 0.7))
         assert seen == [U.ctypes.data] and U.shape == (30 * 31 // 2,)
         M = A.to_dense() + 0.7 * (B.to_dense() if dense_b else np.eye(30))
         assert list(map(float.hex, U)) == list(map(float.hex, cholesky(SpdMatrix.from_dense(M))))
