@@ -40,7 +40,6 @@ _EXPORTS = {
     ),
     "inequalities": ("InequalityReport", "check_inequality_suite"),
     "interpolation": (
-        "Interpolant",
         "InterpolantPoints",
         "TauContext",
         "compute_tau_at_nodes",

@@ -90,15 +90,14 @@ def _add_matrix_options(parser):
 def _load_operand(args):
     from . import io
     from .experiments import make_gcv_problem
-    from .matrices import build_exponential_kernel, grid_points, random_points
+    from .matrices import build_exponential_kernel, sample_points
 
     if args.matrix is not None:
         return io.load_matrix(args.matrix)
     if args.kernel is not None:
         side, rho = args.kernel
-        points = (random_points(side**2, args.seed) if args.random_points
-                  else grid_points(side))
-        return build_exponential_kernel(points, rho)
+        sampling = "random" if args.random_points else "grid"
+        return build_exponential_kernel(sample_points(side, sampling, args.seed), rho)
     n, m, seed = args.design
     return make_gcv_problem(n=n, m=m, seed=seed, s=args.shift).shifted_gram
 
@@ -171,7 +170,6 @@ def cmd_interpolate(args, argv):
         default_nodes,
         fit_basis,
         fit_rational,
-        interpolant_to_json,
     )
 
     M = _load_operand(args)
@@ -191,26 +189,21 @@ def cmd_interpolate(args, argv):
         interp = fit_basis(ctx, pts)  # empty nodes give the bound variant
 
     out = _out_dir(args)
-    record = interpolant_to_json(interp)
+    record = interp.record()
     record["nodes"] = [float(t) for t in pts.ts]
     record["node_values"] = [float(v) for v in pts.taus]
     _write_json(out / "interpolant.json", record)
 
-    failures = 0
     if args.sweep is not None:
         ts = sweep_grid(args.sweep)
-        rows = []
-        for t, est in zip(ts, prepare_trace(ctx.A, ctx.B)(ts)):
-            exact = est.value / ctx.trace_b_inv
-            approx = float(interp(t))
-            rel = approx / exact - 1.0
-            rows.append([float(t), exact, approx, rel])
-        _write_csv(out / "sweep.csv", ["t", "tau_exact", "tau_interp", "rel_error"], rows)
-    for t, tau in zip(pts.ts, pts.taus):
-        if abs(float(interp(float(t))) / tau - 1.0) > 1e-8:
-            failures += 1
+        exact = np.array([est.value for est in prepare_trace(ctx.A, ctx.B)(ts)]) / ctx.trace_b_inv
+        approx = interp(ts)
+        _write_csv(out / "sweep.csv", ["t", "tau_exact", "tau_interp", "rel_error"],
+                   zip(ts.tolist(), exact.tolist(), approx.tolist(),
+                       (approx / exact - 1.0).tolist()))
+    failures = int(np.sum(np.abs(interp(pts.ts) / pts.taus - 1.0) > 1e-8))
     _write_manifest(out, args, argv)
-    print(f"tau0={ctx.tau0:.17g} variant={interp.variant} p={interp.p} "
+    print(f"tau0={ctx.tau0:.17g} variant={record['variant']} p={interp.p} "
           f"node_failures={failures}")
     return 1 if failures else 0
 
@@ -248,9 +241,9 @@ def cmd_gp(args, argv):
 def cmd_gcv(args, argv):
     from .estimators import prepare_trace
     from .experiments import (
-        gcv_curve,
         gcv_experiment,
         gcv_theta_grid,
+        gcv_value,
         make_gcv_problem,
         relative_log_theta_error,
     )
@@ -277,11 +270,11 @@ def cmd_gcv(args, argv):
 
     if args.curve_points > 0:
         thetas = gcv_theta_grid(problem, count=args.curve_points)
-        ts = problem.n * thetas - problem.s  # the trace argument gcv_value uses
-        tau_at = {t: est.value / problem.m
-                  for t, est in zip(ts.tolist(), prepare_trace(problem.shifted_gram)(ts))}
+        backend = prepare_trace(problem.shifted_gram)
+        v_exact = gcv_value(problem, thetas,
+                            lambda ts: [est.value / problem.m for est in backend(ts)])
         _write_csv(out / "gcv_curve.csv", ["theta", "v_exact"],
-                   zip(thetas, gcv_curve(problem, thetas, tau_at.__getitem__)))
+                   zip(thetas.tolist(), v_exact.tolist()))
 
     _write_manifest(out, args, argv)
     for mode, res in results:

@@ -42,8 +42,7 @@ from .matrices import (
     build_design_matrix,
     build_exponential_kernel,
     checked_count,
-    grid_points,
-    random_points,
+    sample_points,
 )
 from .optimize import differential_evolution
 
@@ -135,9 +134,8 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     """
     if side**2 > 10**4:
         raise InvalidShape("side^2 is limited to 10^4 (desk scale)")
-    points = grid_points(side) if sampling == "grid" else random_points(side**2, seed)
     ts = sweep_grid(sweep)
-    K = build_exponential_kernel(points, rho)
+    K = build_exponential_kernel(sample_points(side, sampling, seed), rho)
     n = K.n
     ctx = compute_tau_context(K)
 
@@ -246,33 +244,37 @@ def make_gcv_problem(n=1000, m=500, seed=0, s=1e-3, sigma=0.4,
 
 
 def gcv_value(problem: GcvProblem, theta, tau_fn):
-    """Generalized cross-validation score V(theta).
+    """Generalized cross-validation score V(theta) at a scalar or an array of theta.
 
     The numerator is the mean squared residual |z - X w|^2 / n of the ridge
     solution (X^T X + n*theta*I) w = X^T z. With X^T X = Q diag(lam) Q^T and
     c = Q^T X^T z from ``problem.ridge_spectrum`` it is
     |z|^2 - sum_i c_i^2 (lam_i + 2 n theta) / (lam_i + n theta)^2, O(m) per
     theta. The denominator is the squared normalized equivalent degrees of
-    freedom (n - m + n*theta*m*tau(n*theta - s))/n, where tau comes from
-    ``tau_fn``.
+    freedom (n - m + n*theta*m*tau(n*theta - s))/n. Every theta is checked
+    first; then ``tau_fn`` is called once, on the shifts n*theta - s, which have
+    theta's shape.
     """
-    theta = float(theta)
-    if not (np.isfinite(theta) and theta > 0.0):
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta) & (theta > 0.0)):
         raise InvalidShape(f"theta must be positive and finite, got {theta}")
     n, m = problem.n, problem.m
     lam, c2, z2 = problem.ridge_spectrum
     nt = n * theta
-    if lam[0] + nt <= 0.0:
+    if np.any(lam[0] + nt <= 0.0):
         raise TraceInvError(f"ridge system not positive definite at theta={theta}")
-    residual_sq = z2 - float(np.dot(c2, (lam + 2.0 * nt) / (lam + nt) ** 2))
-    numerator = residual_sq / n
-    tau = float(tau_fn(nt - problem.s))
-    denominator = ((n - m + nt * m * tau) / n) ** 2
-    return numerator / denominator
+    column = nt[..., None]
+    numerator = (z2 - ((lam + 2.0 * column) / (lam + column) ** 2) @ c2) / n
+    tau = np.asarray(tau_fn(nt - problem.s), dtype=float)
+    if tau.shape != theta.shape:
+        raise InvalidShape(f"tau_fn gave shape {tau.shape} for shifts of shape {theta.shape}")
+    values = numerator / ((n - m + nt * m * tau) / n) ** 2
+    return float(values) if values.ndim == 0 else values
 
 
 def gcv_curve(problem: GcvProblem, thetas, tau_fn):
-    return np.array([gcv_value(problem, th, tau_fn) for th in thetas])
+    """``gcv_value`` over thetas for a tau_fn that takes one shift at a time."""
+    return gcv_value(problem, thetas, np.vectorize(tau_fn, otypes=[float]))
 
 
 def count_local_minima(values):
@@ -327,8 +329,8 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
     """Minimize V(theta) by differential evolution over log10(theta).
 
     One trace back-end serves the whole search (``t_tr`` includes its preparation).
-    Each objective call scores a DE generation: one call of the tau source, then
-    ``gcv_value`` per point. ``interpolation=None`` takes tau from the back-end.
+    Each objective call scores a DE generation in one ``gcv_value`` call, which calls
+    the tau source once. ``interpolation=None`` takes tau from the back-end.
     ``interpolation=p`` first computes tau0 plus tau at 2p nodes with it, fits a
     rational interpolant, and runs the optimizer against the interpolant alone, so
     the number of exact trace evaluations is exactly 2p + 1. Every trace evaluation
@@ -378,9 +380,7 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
         optimizer_taus = fit_rational(ctx, pts, p, eval_domain=problem.t_range())
 
     def objective(xs):
-        thetas = 10.0**xs
-        ts = problem.n * thetas - problem.s  # the trace arguments gcv_value forms
-        return gcv_curve(problem, thetas, dict(zip(ts.tolist(), optimizer_taus(ts))).__getitem__)
+        return gcv_value(problem, 10.0**xs, optimizer_taus)
 
     de = differential_evolution(objective, (np.log10(lo), np.log10(hi)),
                                 popsize=popsize, max_generations=max_generations,

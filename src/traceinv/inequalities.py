@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import InvalidShape
+from .matrices import checked_count
 
 INEQUALITY_REL_SLACK = 1e-12  # tolerated relative slack
 EQUALITY_RTOL = 1e-10  # and relative error of the equality case
@@ -66,9 +66,7 @@ def check_inequality_suite(trials, n, seed, vector_trials=None) -> InequalityRep
     (d) harmonic-mean superadditivity on random positive tuples. Both
     sides are always evaluated by brute-force eigenvalue sums.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise InvalidShape("trials must be >= 1")
+    trials, n = checked_count("trials", trials), checked_count("n", n)
     if vector_trials is None:
         vector_trials = 10 * trials
     rng = np.random.default_rng(seed)

@@ -148,30 +148,58 @@ def default_nodes(tau0, p):
 
 
 @dataclass(frozen=True)
-class Interpolant:
-    """A fitted tau(t) model: the bare bound, basis weights, or a rational.
+class BasisFit:
+    """1/tau(t) ~ 1/tau0 + t + sum_j w_j phi_j_orth(t/scale); no weights is the bound.
 
-    Evaluate with :func:`eval_basis` / :func:`eval_rational`, or call the
-    object directly to dispatch on the variant.
+    Called on a scalar or an array of t, through :func:`eval_basis`.
     """
 
-    variant: str  # "bound" | "basis" | "rational"
     tau0: float
-    p: int
     weights: tuple = ()
     scale: float | None = None
     ortho: OrthoCoefficients | None = field(default=None, repr=False)
-    curve: StieltjesSum | None = field(default=None, repr=False)  # rational only
     small_t_floor: float = 0.0
     fit_residual: float = 0.0
 
-    def __call__(self, t, allow_small_t=False):
-        if self.variant == "rational":
-            return eval_rational(self, t)
-        return eval_basis(self, t, allow_small_t=allow_small_t)
+    @property
+    def p(self):
+        return len(self.weights)
+
+    def __call__(self, t):
+        return eval_basis(self, t)
+
+    def record(self) -> dict:
+        """The ``interpolant.json`` record, less the nodes."""
+        record = {"variant": "basis" if self.p else "bound", "p": self.p,
+                  "tau0": self.tau0, "scale": self.scale, "coefficients": list(self.weights)}
+        if self.p:
+            record["small_t_floor"] = self.small_t_floor
+        return record
 
 
-def fit_basis(ctx: TauContext, pts: InterpolantPoints) -> Interpolant:
+@dataclass(frozen=True)
+class RationalFit:
+    """A rational fit of degree p: tau0 at t = 0 and its positive sum ``curve`` elsewhere.
+
+    Called on a scalar or an array of t, through :func:`eval_rational`.
+    """
+
+    p: int
+    tau0: float
+    curve: StieltjesSum = field(repr=False)
+    fit_residual: float = 0.0
+
+    def __call__(self, t):
+        return eval_rational(self, t)
+
+    def record(self) -> dict:
+        """The ``interpolant.json`` record, less the nodes; version 1 held monomials."""
+        return {"variant": "rational", "p": self.p, "tau0": self.tau0, "scale": None,
+                "version": 2, "weights": self.curve.weights.tolist(),
+                "poles": (-self.curve.nodes).tolist()}
+
+
+def fit_basis(ctx: TauContext, pts: InterpolantPoints) -> BasisFit:
     """Fit 1/tau(t) ~ 1/tau0 + t + sum_j w_j phi_j_orth(t/l), l = max node.
 
     One orthonormal basis function per node; with no nodes the fit
@@ -181,7 +209,7 @@ def fit_basis(ctx: TauContext, pts: InterpolantPoints) -> Interpolant:
     """
     p = len(pts)
     if p == 0:
-        return Interpolant(variant="bound", tau0=ctx.tau0, p=0)
+        return BasisFit(tau0=ctx.tau0)
     coeffs = gram_schmidt(p)
     scale = float(np.max(pts.ts))
     design = np.empty((p, p))
@@ -200,36 +228,29 @@ def fit_basis(ctx: TauContext, pts: InterpolantPoints) -> Interpolant:
     # The floor is shrunk by a hair so sweeps that start exactly at the
     # floor (e.g. powers of ten) are not refused by float rounding.
     floor = SMALL_T_FLOOR_FACTOR * float(np.min(pts.ts)) * (1.0 - 1e-9)
-    return Interpolant(variant="basis", tau0=ctx.tau0, p=p, weights=tuple(weights),
-                       scale=scale, ortho=coeffs, small_t_floor=floor,
-                       fit_residual=residual)
+    return BasisFit(tau0=ctx.tau0, weights=tuple(weights), scale=scale, ortho=coeffs,
+                    small_t_floor=floor, fit_residual=residual)
 
 
-def eval_basis(interp: Interpolant, t, allow_small_t=False):
-    """Evaluate a basis (or bound) interpolant at t >= 0.
+def eval_basis(interp: BasisFit, t):
+    """Evaluate a basis fit at t >= 0; with no weights it is the bound tau_upper_bound.
 
     tau(0) returns tau0 exactly (every basis term vanishes there). Strictly
-    positive t below the small-t floor is refused unless allow_small_t is
-    set, because the basis family oscillates near the origin.
+    positive t below the small-t floor is refused, because the basis family
+    oscillates near the origin.
     """
-    if interp.variant not in ("basis", "bound"):
-        raise InvalidShape(f"expected a basis or bound interpolant, got {interp.variant!r}")
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     if np.any(t < 0.0):
         raise InvalidShape("basis interpolants are defined for t >= 0")
-    if interp.variant == "bound":
+    if not interp.weights:
         result = tau_upper_bound(t, interp.tau0)
         return float(result[0]) if scalar else result
-    if not allow_small_t:
-        too_small = (t > 0.0) & (t < interp.small_t_floor)
-        if np.any(too_small):
-            raise InvalidShape(
-                f"t={t[too_small].min():.3e} is below the small-t floor "
-                f"{interp.small_t_floor:.3e} where the basis family oscillates; "
-                "pass allow_small_t=True to force evaluation"
-            )
+    too_small = (t > 0.0) & (t < interp.small_t_floor)
+    if np.any(too_small):
+        raise InvalidShape(f"t={t[too_small].min():.3e} is below the small-t floor "
+                           f"{interp.small_t_floor:.3e} where the basis family oscillates")
     inv_tau = 1.0 / interp.tau0 + t
     x = t / interp.scale
     for j, w in enumerate(interp.weights, start=1):
@@ -244,7 +265,7 @@ def eval_basis(interp: Interpolant, t, allow_small_t=False):
 
 
 def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
-                 eval_domain=None) -> Interpolant:
+                 eval_domain=None) -> RationalFit:
     """Fit tau(t) ~ sum_{j=0..p} w_j / (t + mu_j), a positive sum of type p over p+1.
 
     The collocation solves for (t^p + ... + a_0)/(t^{p+1} + ... + b_0) with a_0 = b_0 * tau0
@@ -290,8 +311,7 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
     if residual > FIT_RESIDUAL_WARN:
         warnings.warn(f"rational fit misses a node value by {residual:.2e} relative; "
                       "consider moving the nodes", stacklevel=2)
-    return Interpolant(variant="rational", tau0=ctx.tau0, p=p, fit_residual=residual,
-                       curve=curve)
+    return RationalFit(p=p, tau0=ctx.tau0, curve=curve, fit_residual=residual)
 
 
 def _collocation(tau0, ts, taus, p):
@@ -318,31 +338,10 @@ def _collocation(tau0, ts, taus, p):
     return (1.0, *a[::-1], b0 * tau0), (1.0, *b[::-1], b0)
 
 
-def eval_rational(interp: Interpolant, t):
-    """Evaluate a rational interpolant: tau0 exactly at t = 0, its sum elsewhere.
+def eval_rational(interp: RationalFit, t):
+    """Evaluate a rational fit: tau0 exactly at t = 0, its sum elsewhere.
 
     t at or left of the sum's first pole raises NotPositiveDefinite.
     """
-    if interp.variant != "rational":
-        raise InvalidShape(f"expected a rational interpolant, got {interp.variant!r}")
     result = np.where(np.asarray(t) == 0.0, interp.tau0, interp.curve(t))
     return float(result) if result.ndim == 0 else result
-
-
-def interpolant_to_json(interp: Interpolant) -> dict:
-    record = {
-        "variant": interp.variant,
-        "p": interp.p,
-        "tau0": interp.tau0,
-        "scale": interp.scale,
-    }
-    if interp.variant == "basis":
-        record["coefficients"] = list(interp.weights)
-        record["small_t_floor"] = interp.small_t_floor
-    elif interp.variant == "rational":
-        record["version"] = 2  # version 1 held monomial coefficients
-        record["weights"] = interp.curve.weights.tolist()
-        record["poles"] = (-interp.curve.nodes).tolist()
-    else:
-        record["coefficients"] = []
-    return record

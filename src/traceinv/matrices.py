@@ -468,9 +468,7 @@ def grid_points(side) -> PointCloud:
     side = 1 gives the single point (0.5, 0.5); side = 2 gives the four
     points with coordinates in {0.25, 0.75}.
     """
-    side = int(side)
-    if side < 1:
-        raise InvalidShape("side must be >= 1")
+    side = checked_count("side", side)
     centers = (np.arange(side) + 0.5) / side
     xs, ys = np.meshgrid(centers, centers, indexing="ij")
     return PointCloud(coords=np.column_stack([xs.ravel(), ys.ravel()]))
@@ -480,6 +478,15 @@ def random_points(count, seed) -> PointCloud:
     """Uniform random points over [0, 1]^2, for comparison with the grid."""
     rng = np.random.default_rng(seed)
     return PointCloud(coords=rng.uniform(0.0, 1.0, size=(int(count), 2)))
+
+
+def sample_points(side, sampling="grid", seed=0) -> PointCloud:
+    """side^2 points over [0, 1]^2: ``grid_points(side)``, or ``random_points`` from seed."""
+    if sampling == "grid":
+        return grid_points(side)
+    if sampling == "random":
+        return random_points(checked_count("side", side) ** 2, seed)
+    raise InvalidShape(f"sampling must be 'grid' or 'random', got {sampling!r}")
 
 
 KERNEL_CHUNK = 64  # packed rows per step of ``build_kernel``, whose blocks hold < 64 n entries

@@ -187,13 +187,18 @@ def test_refused_input_is_one_line_with_status_2(tmp_path, capsys, matrix, messa
     assert err.count("\n") == 1
 
 
-def test_non_finite_shift_is_refused_input(tmp_path, capsys):
-    out = tmp_path / "o"
-    code = main(["trace", "--kernel", "4,0.1", "--t", "nan,1", "--out", str(out)])
-    err = capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "--kernel", "4,0.1", "--t", "nan,1"], "shift t=nan is not finite"),
+    (["check-inequalities", "--trials", "3", "--n", "0"], "n must be >= 1 and whole, got 0"),
+    (["trace", "--kernel=-3,0.1", "--random-points", "--t", "0"],
+     "side must be >= 1 and whole, got -3")],
+    ids=["non-finite-shift", "inequality-order", "kernel-side"])
+def test_bad_value_is_refused_input(tmp_path, capsys, argv, message):
+    # order 0 passed with infinite slacks; side -3 traced 9 random points
+    code = main([*argv, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert err == "traceinv: error: shift t=nan is not finite\n"
-    assert not (out / "manifest.json").exists()
+    assert capsys.readouterr().err == f"traceinv: error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_gcv_method_rejected(tmp_path, capsys):

@@ -68,7 +68,7 @@ def exact_eigen_tau_fn(problem):
     """tau(t) = mean(1/(sigma_i^2 + s + t)) from the design's singular-value
     profile: an oracle independent of every trace back-end."""
     lam = problem.design.singular_values() ** 2 + problem.s
-    return lambda t: float(np.mean(1.0 / (lam + t)))
+    return lambda t: np.mean(1.0 / (lam + np.asarray(t)[..., None]), axis=-1)
 
 
 class TestNodeSelection:
@@ -110,6 +110,14 @@ class TestGpExperiment:
         res = gp_experiment(side=4, rho=0.2, nodes=(0.1, 1.0), p_values=(2,),
                             sweep=(1e-1, 10.0, 5), sampling="random", seed=3)
         assert res.node_check_failures == 0
+
+    @pytest.mark.parametrize("side, sampling, message", [
+        (-3, "random", "side must be >= 1"), (2.5, "grid", "side must be >= 1"),
+        (4, "gird", "sampling must be 'grid' or 'random', got 'gird'")])
+    def test_point_set_refused(self, side, sampling, message):
+        # a negative side drew side^2 random points; any sampling but "grid" meant random
+        with pytest.raises(InvalidShape, match=message):
+            gp_experiment(side=side, sampling=sampling, sweep=(1e-2, 1.0, 3))
 
     def test_shared_shifts_factored_once(self, cholesky_calls):
         # tau0, 3 curve points, 1 + 9 nodes: 1e-4, 0.1 and 1e3 recur
@@ -192,22 +200,33 @@ class TestGcvProblem:
     @pytest.mark.parametrize("config", [SMALL, FULL], ids=["small", "full"])
     def test_numerator_matches_references_on_theta_grid(self, config):
         # the cached-spectrum closed form against a Cholesky ridge solve per
-        # theta and against the singular-value closed form, same tau for all
+        # theta and against the singular-value closed form, same tau for all,
+        # scored one theta at a time and as the whole grid in one call
         p = make_gcv_problem(**config)
         oracle = exact_eigen_tau_fn(p)
         grid = gcv_theta_grid(p)
         values = np.array([gcv_value(p, th, oracle) for th in grid])
+        batch = gcv_value(p, grid, oracle)
         denominators = np.array([((p.n - p.m + p.n * th * p.m * oracle(p.n * th - p.s)) / p.n)
                                  ** 2 for th in grid])
         chol = np.array([cholesky_numerator(p, th) for th in grid]) / denominators
         svd = np.array([singular_value_numerator(p, th) for th in grid]) / denominators
-        np.testing.assert_allclose(values, chol, rtol=1e-12)
-        np.testing.assert_allclose(values, svd, rtol=1e-12)
+        for scored in (values, batch):
+            np.testing.assert_allclose(scored, chol, rtol=1e-12)
+            np.testing.assert_allclose(scored, svd, rtol=1e-12)
+        np.testing.assert_allclose(batch, values, rtol=1e-15)
 
     @pytest.mark.parametrize("theta", [0.0, -1e-3, np.nan, np.inf])
     def test_invalid_theta_rejected(self, small_problem, theta):
         with pytest.raises(InvalidShape):
             gcv_value(small_problem, theta, exact_eigen_tau_fn(small_problem))
+
+    def test_tau_of_another_shape_refused(self, small_problem):
+        # a one-shift tau handed m shifts broadcasts into one number, not m scores
+        p = small_problem
+        lam = p.design.singular_values() ** 2 + p.s
+        with pytest.raises(InvalidShape, match=r"tau_fn gave shape \(\) for shifts of shape"):
+            gcv_value(p, np.full(p.m, 1e-2), lambda t: float(np.mean(1.0 / (lam + t))))
 
     def test_indefinite_ridge_system_rejected(self):
         # a Gram matrix with smallest eigenvalue -1: n*theta < 1 leaves the
@@ -220,7 +239,7 @@ class TestGcvProblem:
         def tau_fn(t):
             raise AssertionError("tau evaluated for an infeasible theta")
 
-        for theta in (1e-6, 0.5 / p.n):
+        for theta in (1e-6, 0.5 / p.n, np.array([2.0 / p.n, 0.5 / p.n, 1.0])):
             with pytest.raises(TraceInvError):
                 gcv_value(p, theta, tau_fn)
         assert np.isfinite(gcv_value(p, 2.0 / p.n, exact_eigen_tau_fn(p)))
@@ -288,19 +307,19 @@ class TestGcvExperiment:
         assert row["interpolation"] == "rational_p1"
 
     def test_objective_calls_module_gcv_value(self, small_problem, monkeypatch):
-        # every optimizer step goes through the module-level gcv_value, once
-        calls = []
+        # every point the optimizer scores goes through the module-level gcv_value, once
+        scored = []
         original = traceinv.experiments.gcv_value
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            scored.append(np.size(args[1]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(traceinv.experiments, "gcv_value", counting)
         res = gcv_experiment(small_problem, interpolation=2, method="cholesky",
                              de_seed=0, max_generations=1)
         assert res.n_tot - res.n_tr > 0
-        assert len(calls) == res.n_tot - res.n_tr
+        assert sum(scored) == res.n_tot - res.n_tr
 
     @pytest.fixture
     def sweep_log(self, monkeypatch):

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from traceinv import (
     trace_inv_exact_cholesky,
 )
 from traceinv.estimators import StieltjesSum, trace_inv_exact_eigen
-from traceinv.interpolation import default_nodes, interpolant_to_json
+from traceinv.interpolation import BasisFit, RationalFit, default_nodes
 from traceinv.ortho import eval_ortho_function
 
 from conftest import spd_from_eigenvalues
@@ -181,7 +182,7 @@ class TestBasisInterpolant:
     def test_p0_is_the_upper_bound(self):
         ctx = diag_context([1.0, 2.0])
         interp = fit_basis(ctx, InterpolantPoints(ts=[], taus=[]))
-        assert interp.variant == "bound"
+        assert interp.p == 0 and interp.record()["variant"] == "bound"
         ts = np.logspace(-3, 3, 40)
         np.testing.assert_array_equal(eval_basis(interp, ts),
                                       tau_upper_bound(ts, ctx.tau0))
@@ -218,14 +219,13 @@ class TestBasisInterpolant:
         t = 1e8 / ctx.tau0
         assert abs(t * eval_basis(interp, t) - 1.0) <= 0.01
 
-    def test_refuses_small_t_without_flag(self):
+    def test_refuses_small_t(self):
         ctx = diag_context([1.0, 2.0])
         pts = compute_tau_at_nodes(ctx, [0.5, 2.0])
         interp = fit_basis(ctx, pts)
         with pytest.raises(InvalidShape):
             eval_basis(interp, 1e-6)
-        eval_basis(interp, 1e-6, allow_small_t=True)  # forced evaluation works
-        assert eval_basis(interp, 0.0) == ctx.tau0    # origin stays allowed
+        assert eval_basis(interp, 0.0) == ctx.tau0  # origin stays allowed
 
     def test_coincident_nodes_rejected_as_singular(self):
         ctx = diag_context([1.0, 2.0])
@@ -329,11 +329,8 @@ class TestRationalInterpolant:
         assert all(isinstance(pole, complex) for pole in err.value.poles)
 
     def test_evaluation_at_pole_raises(self):
-        from traceinv import Interpolant
-
         # 0.5 / (t + 1) + 0.5 / (t + 2): tau0 = 0.75, first pole at t = -1
-        interp = Interpolant(variant="rational", tau0=0.75, p=1,
-                             curve=StieltjesSum((0.5, 0.5), (1.0, 2.0)))
+        interp = RationalFit(p=1, tau0=0.75, curve=StieltjesSum((0.5, 0.5), (1.0, 2.0)))
         assert eval_rational(interp, 0.0) == 0.75
         assert eval_rational(interp, -0.5) == pytest.approx(0.5 / 0.5 + 0.5 / 1.5, rel=1e-15)
         for t in (-1.0, -1.5, [0.0, -1.0]):
@@ -404,24 +401,22 @@ class TestStieltjesSum:
 
 
 def test_basis_nonpositive_result_flagged():
-    from traceinv import Interpolant, NonPositiveResult
+    from traceinv import NonPositiveResult
 
     # weights chosen so 1/tau dips negative between the origin and the node
-    interp = Interpolant(variant="basis", tau0=2.0, p=1, weights=(-10.0,),
-                         scale=1.0, ortho=gram_schmidt(1), small_t_floor=0.0)
+    interp = BasisFit(tau0=2.0, weights=(-10.0,), scale=1.0, ortho=gram_schmidt(1))
     with pytest.raises(NonPositiveResult):
         eval_basis(interp, 0.5)
 
 
 class TestJsonRoundTrip:
     def test_bound(self):
-        record = interpolant_to_json(fit_basis(diag_context([2.0, 2.0]),
-                                               InterpolantPoints(ts=[], taus=[])))
+        record = fit_basis(diag_context([2.0, 2.0]), InterpolantPoints(ts=[], taus=[])).record()
         assert record["variant"] == "bound" and record["coefficients"] == []
 
     def test_rational_record_holds_the_sum(self):
         ctx = diag_context([1.0, 2.0, 5.0])
-        record = interpolant_to_json(fit_rational(ctx, compute_tau_at_nodes(ctx, [0.1, 1.0]), 1))
+        record = fit_rational(ctx, compute_tau_at_nodes(ctx, [0.1, 1.0]), 1).record()
         assert record["version"] == 2 and "coefficients" not in record
         weights, poles = np.array(record["weights"]), np.array(record["poles"])
         assert weights.size == poles.size == 2
@@ -451,6 +446,12 @@ class TestInequalitySuite:
         assert report.worst_sum_slack >= -1e-12
         assert report.worst_equality_error <= 1e-10
 
+    @pytest.mark.parametrize("trials, n", [(3, 0), (3, -2), (3, 2.5), (2.5, 3)])
+    def test_counts_must_be_whole_and_positive(self, trials, n):
+        # order 0 passed with infinite slacks, -2 failed inside numpy, 2.5 trials ran 2
+        with pytest.raises(InvalidShape, match="must be >= 1 and whole"):
+            check_inequality_suite(trials=trials, n=n, seed=0)
+
     def test_report_fields_serialize(self):
         data = check_inequality_suite(trials=5, n=6, seed=1).to_json()
         assert data["passed"] is True
@@ -475,3 +476,13 @@ class TestP0Equivalence:
         closed = tau_upper_bound(ts, ctx.tau0)
         np.testing.assert_allclose(eval_basis(basis0, ts), closed, rtol=1e-15)
         np.testing.assert_allclose(eval_rational(rational0, ts), closed, rtol=1e-15)
+
+
+def test_readme_library_example_runs():
+    # README's one python block, run as written, so it cannot drift from the API
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    interp, ctx = namespace["interp"], namespace["ctx"]
+    assert isinstance(interp, RationalFit) and interp(0.0) == ctx.tau0
