@@ -69,6 +69,8 @@ def sweep_grid(sweep):
 def select_nodes(master, p):
     """Pick p nodes from a master list: all of them when p matches, else a
     centrally spread subset by index (p = 1 picks the middle node)."""
+    if not (float(p).is_integer() and p >= 0):
+        raise InvalidShape(f"p must be >= 0 and whole, got {p!r}")
     master = np.asarray(master, dtype=float)
     if p == master.size:
         return master.copy()
@@ -132,7 +134,7 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     among them is factored once. Node reproduction is checked to 1e-8 relative as a
     built-in sanity gate.
     """
-    if side**2 > 10**4:
+    if checked_count("side", side) ** 2 > 10**4:
         raise InvalidShape("side^2 is limited to 10^4 (desk scale)")
     ts = sweep_grid(sweep)
     K = build_exponential_kernel(sample_points(side, sampling, seed), rho)

@@ -37,7 +37,8 @@ from .ortho import OrthoCoefficients, eval_ortho_function, gram_schmidt
 # evaluation below this fraction of its smallest node (t = 0 stays exact).
 SMALL_T_FLOOR_FACTOR = 1e-3
 
-FIT_RESIDUAL_WARN = 1e-8  # relative; a rational fit also drops terms below it
+FIT_RESIDUAL_WARN = 1e-8  # relative node miss above which a fit warns
+PENCIL_RANK_TOL = 1e-12  # relative singular values below it are a rational pencil's null space
 NODE_HALF_WIDTH_DECADES = 2.0  # default nodes span this on each side of 1/tau0
 
 
@@ -268,37 +269,52 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
                  eval_domain=None) -> RationalFit:
     """Fit tau(t) ~ sum_{j=0..p} w_j / (t + mu_j), a positive sum of type p over p+1.
 
-    The collocation solves for (t^p + ... + a_0)/(t^{p+1} + ... + b_0) with a_0 = b_0 * tau0
-    (tau(0) = tau0) and monic leading coefficients (the t^-1 asymptote): 2p unknowns for
-    2p nodes. p = 0 takes no nodes and gives the upper bound, weight 1 at mu = 1/tau0.
-    The solution is converted once into residues w_j and poles -mu_j, less terms too small
-    to show. Unless every w_j left is positive and every pole real and left of 0 and of
-    ``eval_domain``'s left end (default t_min/2, or 0 without t_min), :class:`PoleInDomain`
-    names the node values: no decreasing Stieltjes curve, as tau is, passes through them.
+    The fit interpolates tau at 0, at the 2p nodes and at infinity (t*tau(t) -> 1) through
+    one Loewner pencil (Mayo & Antoulas 2007). The points split into left a = (0, t_2, t_4,
+    ..., t_2p) and right b = (t_1, t_3, ..., t_2p-1, inf), and with f = tau
+        C_ij = (f(a_i) - f(b_j)) / (b_j - a_i),  S_ij = (b_j f(b_j) - a_i f(a_i)) / (b_j - a_i),
+    whose column at infinity is f(a_i) in C and 1 - a_i f(a_i) in S. A positive sum with
+    nodes mu gives C = A^T diag(w) B and S = A^T diag(w mu) B, so its mu are the eigenvalues of
+    S v = mu C v. p = 0 takes no nodes and gives the upper bound, weight 1 at mu = 1/tau0.
+    Unless every w_j is positive and every pole real and left of 0 and of ``eval_domain``'s
+    left end (default t_min/2, or 0 without t_min), :class:`PoleInDomain` names the node
+    values: no decreasing Stieltjes curve, as tau is, passes through them.
     ``fit_residual`` is the largest relative miss of a node value; above 1e-8 it warns.
     """
+    if not (float(p).is_integer() and p >= 0):
+        raise InvalidShape(f"p must be >= 0 and whole, got {p!r}")
     p = int(p)
-    if p < 0:
-        raise InvalidShape("p must be >= 0")
     if len(pts) != 2 * p:
         raise InvalidShape(f"rational fit of degree p={p} needs exactly {2 * p} nodes, "
                            f"got {len(pts)}")
-    numer, denom = (_collocation(ctx.tau0, pts.ts, pts.taus, p) if p
-                    else ((1.0,), (1.0, 1.0 / ctx.tau0)))
     default_left = -abs(ctx.t_min) / 2.0 if ctx.t_min is not None else 0.0
     left = min(0.0, float(eval_domain[0]) if eval_domain is not None else default_left)
-    poles, slope = np.roots(denom), np.polyder(denom)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a double pole is refused below
-        for _ in range(2):  # polish the companion matrix's roots, a few ulps off
-            poles = poles - np.polyval(denom, poles) / np.polyval(slope, poles)
-        residues = np.polyval(numer, poles) / np.polyval(slope, poles)
-        terms = np.abs(residues[:, None] / (np.append(0.0, pts.ts) - poles[:, None]))
-    # A curve of fewer than p + 1 poles leaves the collocation singular. Its extra poles' terms
-    # are noise, dropped: they move no node value, tau0 or total weight by FIT_RESIDUAL_WARN.
-    noise = ((np.abs(residues) <= FIT_RESIDUAL_WARN * np.sum(np.abs(residues)))
-             & np.all(terms <= FIT_RESIDUAL_WARN * np.append(ctx.tau0, pts.taus), axis=1))
-    poles, residues = poles[~noise], residues[~noise]
-    bad = np.iscomplex(poles) | (poles.real >= left) | ~(residues.real > 0.0)
+    if p == 0:
+        poles, residues = np.array([-1.0 / ctx.tau0]), np.array([1.0])
+    else:
+        ts, fs = np.append(0.0, pts.ts), np.append(ctx.tau0, pts.taus)
+        a, fa, b, fb = ts[0::2], fs[0::2], ts[1::2], fs[1::2]
+        gap = b - a[:, None]
+        C = np.column_stack([(fa[:, None] - fb) / gap, fa])
+        S = np.column_stack([(b * fb - (a * fa)[:, None]) / gap, 1.0 - a * fa])
+        F, G = np.append(fb, 1.0), fa
+        # Balance rows and columns to unit norm, then keep the pencil's numerical rank: a
+        # curve of fewer than p + 1 poles leaves it singular, and the cut keeps fewer terms.
+        rows = 1.0 / np.linalg.norm(np.hstack([C, S]), axis=1)
+        C, S, G = C * rows[:, None], S * rows[:, None], G * rows
+        cols = 1.0 / np.linalg.norm(np.vstack([C, S]), axis=0)
+        C, S, F = C * cols, S * cols, F * cols
+        Y, sy, _ = np.linalg.svd(np.hstack([C, S]), full_matrices=False)
+        _, sx, Xt = np.linalg.svd(np.vstack([C, S]), full_matrices=False)
+        rank = min(np.sum(sy > PENCIL_RANK_TOL * sy[0]), np.sum(sx > PENCIL_RANK_TOL * sx[0]))
+        Y, X = Y[:, :rank], Xt[:rank].T
+        C, S, F, G = Y.T @ C @ X, Y.T @ S @ X, F @ X, Y.T @ G
+        mu, u, v = scipy.linalg.eig(S, C, left=True, right=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # an infinite mu is refused below
+            residues = (F @ v) * (G @ u.conj()) / np.sum(u.conj() * (C @ v), axis=0)
+        poles = -mu
+    bad = (~np.isfinite(poles) | np.iscomplex(poles) | (poles.real >= left)
+           | ~(np.isfinite(residues) & (residues.real > 0.0)))
     if np.any(bad):
         raise PoleInDomain(
             f"the fit has poles {poles.tolist()} and residues {residues.tolist()}, not a "
@@ -312,30 +328,6 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
         warnings.warn(f"rational fit misses a node value by {residual:.2e} relative; "
                       "consider moving the nodes", stacklevel=2)
     return RationalFit(p=p, tau0=ctx.tau0, curve=curve, fit_residual=residual)
-
-
-def _collocation(tau0, ts, taus, p):
-    """Monomial numerator and denominator (highest degree first) through 2p nodes."""
-    # Unknown layout: [a_1..a_{p-1}, b_0, b_1..b_p]. Row i (divided through
-    # by tau_i for scaling):
-    #   -sum_k a_k t^k / tau + b_0 (1 - tau0/tau) + sum_k b_k t^k
-    #       = t^p / tau - t^{p+1}
-    size = 2 * p
-    design = np.zeros((size, size))
-    for k in range(1, p):
-        design[:, k - 1] = -(ts**k) / taus
-    design[:, p - 1] = 1.0 - tau0 / taus
-    for k in range(1, p + 1):
-        design[:, p + k - 1] = ts**k
-    rhs = ts**p / taus - ts ** (p + 1)
-    try:
-        with warnings.catch_warnings():  # fit_rational checks the nodes instead
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            sol = scipy.linalg.solve(design, rhs)
-    except scipy.linalg.LinAlgError:  # exactly singular: take its least-squares solution
-        sol = scipy.linalg.lstsq(design, rhs)[0]
-    a, b0, b = sol[: p - 1], sol[p - 1], sol[p:]  # a_1..a_{p-1}, b_0, b_1..b_p
-    return (1.0, *a[::-1], b0 * tau0), (1.0, *b[::-1], b0)
 
 
 def eval_rational(interp: RationalFit, t):

@@ -10,6 +10,7 @@ from traceinv import (
     SpdMatrix,
     TraceInvError,
     compute_tau_at_nodes,
+    compute_tau_context,
     fit_rational,
     prepare_trace,
     shifted_operand,
@@ -19,6 +20,7 @@ from traceinv import (
 )
 from traceinv.experiments import (
     GCV_NODE_SETS,
+    GP_DEFAULT_NODES,
     count_local_minima,
     gcv_curve,
     gcv_experiment,
@@ -141,6 +143,23 @@ class TestGpExperiment:
     def test_desk_scale_guard(self):
         with pytest.raises(Exception):
             gp_experiment(side=101)
+
+
+def rational_fit_of_degree(p):
+    ctx = compute_tau_context(SpdMatrix.from_dense(np.diag([1.0, 2.0, 5.0])))
+    return fit_rational(ctx, compute_tau_at_nodes(ctx, [0.1, 1.0]), p)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gp_experiment(side=-101), "side must be >= 1 and whole"),
+    (lambda: gp_experiment(side=150.5), "side must be >= 1 and whole"),
+    (lambda: select_nodes(GP_DEFAULT_NODES, -1), "p must be >= 0"),
+    (lambda: rational_fit_of_degree(1.5), "p must be >= 0 and whole"),
+], ids=["side=-101", "side=150.5", "select p=-1", "fit p=1.5"])
+def test_input_refused_for_its_own_reason(call, message):
+    # each input is refused for its own fault, before a later check can misname it
+    with pytest.raises(InvalidShape, match=message):
+        call()
 
 
 class TestGcvProblem:
