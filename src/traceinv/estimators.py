@@ -13,6 +13,7 @@ one master seed, so results are reproducible and independent of processing order
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +23,9 @@ from .matrices import (PIVOT_RTOL, SpdMatrix, checked_count, checked_orders, che
                        _packed, cholesky, forward_solve, inverse_factor, lapack_map)
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
+# SLQ stops a probe block once every probe's Gauss-Radau bracket is at most this fraction of
+# the estimate's standard error, which bounds the bias it leaves at 0.1 SE (a 1% larger MSE).
+RADAU_SE_FRACTION = 0.1
 PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
 
 
@@ -34,6 +38,7 @@ class TraceEstimate:
     n_v: int = 0
     std_error: float = 0.0
     seed: int | None = None
+    degree: int = 0  # the most Lanczos steps any probe took; 0 for exact and Hutchinson
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -56,6 +61,7 @@ class TraceEstimate:
             "n_v": self.n_v,
             "std_error": None if np.isnan(self.std_error) else self.std_error,
             "seed": self.seed,
+            "degree": self.degree,
         }
 
 
@@ -169,12 +175,12 @@ def _probe_blocks(n, n_v, seed):
                                for s in streams[start:start + PROBE_BLOCK]])
 
 
-def _sample_mean(samples, method, seed) -> TraceEstimate:
+def _sample_mean(samples, method, seed, degree=0) -> TraceEstimate:
     """Mean of per-probe samples with its standard error (nan for one sample)."""
     n_v = samples.size
     std_error = float(np.std(samples, ddof=1) / np.sqrt(n_v)) if n_v > 1 else float("nan")
     return TraceEstimate(value=float(np.mean(samples)), method=method, n_v=n_v,
-                         std_error=std_error, seed=int(seed))
+                         std_error=std_error, seed=int(seed), degree=degree)
 
 
 def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
@@ -190,7 +196,38 @@ def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
     return _sample_mean(samples, "hutchinson", seed)
 
 
-def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
+class _Bracket(NamedTuple):
+    """One step's Gauss and Gauss-Radau values, with the LDL^T pivots that carry them on."""
+
+    d: np.ndarray  # last pivot of T_k
+    e: np.ndarray  # last pivot of T_k - aI
+    c2: np.ndarray  # squared entry k + 1 of L^-1 e1, for the next step
+    gauss: np.ndarray  # g_k = e1^T T_k^-1 e1
+    radau: np.ndarray  # r_k
+    ok: np.ndarray  # every pivot of T_j - aI and every d_R so far was positive
+
+
+def _gauss_radau(prev, alpha, beta, beta_next, a) -> _Bracket:
+    """Step k of the bracket g_k <= e1^T M^-1 e1 <= r_k, elementwise over columns, in O(1).
+
+    T_k is the Lanczos tridiagonal after step k: ``alpha`` is its last diagonal entry, ``beta``
+    couples it to step k - 1 (0 at the first step, where ``prev`` is None) and ``beta_next``
+    is the coefficient the next step would use. With the pivots d_k of T_k and e_k of T_k - aI,
+    g_k = g_{k-1} + c_k^2 / d_k, where c_1 = 1 and c_{k+1} = c_k beta_next / d_k. The
+    Gauss-Radau rule with the prescribed node a extends T_k by beta_next and the diagonal entry
+    omega = a + beta_next^2 / e_k, whose last pivot is d_R = omega - beta_next^2 / d_k, so
+    r_k = g_k + c_{k+1}^2 / d_R. For a <= lambda_min(M) every e_k and d_R is positive and
+    g_k <= z^T M^-1 z / |z|^2 <= r_k for the start vector z (Golub & Meurant 1994).
+    """
+    d, e, c2, gauss, _, ok = prev if prev is not None else (1.0, 1.0, 1.0, 0.0, 0.0, True)
+    d, e = alpha - beta**2 / d, alpha - a - beta**2 / e
+    gauss = gauss + c2 / d
+    c2 = c2 * (beta_next / d) ** 2
+    d_radau = a + beta_next**2 / e - beta_next**2 / d
+    return _Bracket(d, e, c2, gauss, gauss + c2 / d_radau, ok & (e > 0.0) & (d_radau > 0.0))
+
+
+def lanczos(M: SpdMatrix, v0, degree, node=None, se_fraction=0.0) -> LanczosTriDiag:
     """Lanczos tridiagonalization with full reorthogonalization.
 
     ``v0`` is one start vector (n,) or a block (n, b) with one recurrence
@@ -198,6 +235,12 @@ def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
     A column stops (graceful truncation) when its off-diagonal coefficient
     falls below LANCZOS_BREAKDOWN_RTOL times a cheap norm estimate of M,
     i.e. at an invariant subspace; its later entries are zero.
+
+    Given a ``node`` a <= lambda_min(M), each column carries its bracket (``_gauss_radau``),
+    and a block of two or more columns stops before the product of a step once every
+    column's r_k - g_k is at most ``se_fraction`` times the sample standard deviation of the
+    columns' g_k, and every pivot of the bracket is positive. Without one, ``degree`` steps
+    are run, as they would be with a node whose bracket never closes.
     """
     degree = checked_count("degree", degree)
     v0 = np.asarray(v0, dtype=float)
@@ -207,10 +250,11 @@ def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
         raise InvalidShape("start vector must be nonzero")
     breakdown = LANCZOS_BREAKDOWN_RTOL * max(M.entry_norm(), 1e-300)
     b, n = V.shape
-    degree = min(degree, n)
+    degree, node = min(degree, n), node if b > 1 else None
     Q = np.zeros((b, degree, n))
     alpha, beta = np.zeros((2, degree, b))  # beta[k] couples steps k-1 and k; beta[0] = 0
     q = V / norms[:, None]
+    live, bracket = np.ones(b, dtype=bool), None
     k = 0
     while k < degree:
         if k:
@@ -218,10 +262,19 @@ def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
             coeffs = np.matmul(Q[:, :k], r[:, :, None])
             r -= np.matmul(coeffs.transpose(0, 2, 1), Q[:, :k])[:, 0]
             beta[k] = np.linalg.norm(r, axis=1)
-            live = beta[k] >= breakdown  # a stopped column keeps r = 0 and stays stopped
+            ran, live = live, beta[k] >= breakdown  # a stopped column keeps r = 0, stays stopped
             if not live.any():
                 break
             beta[k, ~live] = 0.0
+            if node is not None:
+                with np.errstate(divide="ignore", invalid="ignore"):  # in columns that stopped
+                    step = _gauss_radau(bracket, alpha[k - 1], beta[k - 1], beta[k], node)
+                # a stopped column keeps the bracket of its last step, closed (beta_next = 0)
+                bracket = step if bracket is None else _Bracket(
+                    *(np.where(ran, new, old) for new, old in zip(step, bracket)))
+                gap, spread = bracket.radau - bracket.gauss, np.std(bracket.gauss, ddof=1)
+                if bracket.ok.all() and np.all(gap <= se_fraction * spread):
+                    break
             q = r / np.where(live, beta[k], np.inf)[:, None]
         Q[:, k] = q
         u = M.matvec(q.T).T
@@ -236,7 +289,7 @@ def lanczos(M: SpdMatrix, v0, degree) -> LanczosTriDiag:
 
 
 def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
-    """Stochastic Lanczos quadrature estimate of trace(M^-1).
+    """Stochastic Lanczos quadrature estimate of trace(M^-1), ``degree`` a cap on its steps.
 
     The recurrences read M in place, its shift included, so a B = I shift
     from ``shifted_operand`` is never added into a copy. Each Rademacher
@@ -246,19 +299,26 @@ def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
     its estimate is n * sum_j w_j / theta_j. A quadrature node theta_j at or
     below PIVOT_RTOL times M's largest entry signals a numerically indefinite
     operand, the rule of the Cholesky pivot check.
+
+    When M certifies its stored part PSD (``SpdMatrix.psd``) and carries a shift a > 0, a is
+    a lower bound on its spectrum and the Gauss-Radau node: a block of n_v > 1 probes stops
+    once every probe's bracket n (r_k - g_k) is at most RADAU_SE_FRACTION times the standard
+    error s / sqrt(n_v), s the spread of the block's n g_k. Any other operand runs to the cap.
     """
     n_v = _probe_count(n_v, seed)
     degree = checked_count("degree", degree)
-    floor, samples = PIVOT_RTOL * M.entry_norm(), []
+    node = M.shift if M.psd and M.shift > 0.0 and n_v > 1 else None
+    floor, samples, used = PIVOT_RTOL * M.entry_norm(), [], 0
     for Z in _probe_blocks(M.n, n_v, seed):
-        tri = lanczos(M, Z, degree)
+        tri = lanczos(M, Z, degree, node, RADAU_SE_FRACTION / np.sqrt(n_v))
+        used = max(used, tri.degree)
         for j, s in enumerate(tri.steps):
             theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha[:s, j], tri.beta[:s - 1, j])
             if np.min(theta) <= floor:
                 raise NotPositiveDefinite(f"quadrature node {np.min(theta):.3e} <= {floor:.3e}; "
                                           "operand is numerically indefinite")
             samples.append(M.n * float(np.sum(vecs[0, :] ** 2 / theta)))
-    return _sample_mean(np.array(samples), "slq", seed)
+    return _sample_mean(np.array(samples), "slq", seed, used)
 
 
 def estimate_trace_inv(M: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=0) -> TraceEstimate:

@@ -18,7 +18,7 @@ Two reproducible studies built on the estimator and interpolation layers:
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -69,8 +69,7 @@ def sweep_grid(sweep):
 def select_nodes(master, p):
     """Pick p nodes from a master list: all of them when p matches, else a
     centrally spread subset by index (p = 1 picks the middle node)."""
-    if not (float(p).is_integer() and p >= 0):
-        raise InvalidShape(f"p must be >= 0 and whole, got {p!r}")
+    p = checked_count("p", p, least=0)
     master = np.asarray(master, dtype=float)
     if p == master.size:
         return master.copy()
@@ -212,8 +211,9 @@ class GcvProblem:
 
     @cached_property
     def shifted_gram(self) -> SpdMatrix:
-        """X^T X + s*I: ``gram`` (exactly symmetric) packed once, carrying the shift s."""
-        return shifted_operand(SpdMatrix.from_dense(self.gram), None, self.s)
+        """X^T X + s*I: ``gram`` (exactly symmetric) packed once, certified ``psd``, carrying
+        the shift s."""
+        return shifted_operand(replace(SpdMatrix.from_dense(self.gram), psd=True), None, self.s)
 
     def tau_context(self, method="cholesky", n_v=30, degree=30, seed=0) -> TauContext:
         return compute_tau_context(self.shifted_gram, method=method, n_v=n_v,
@@ -339,10 +339,12 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
     uses the probe set ``trace_seed``, so with a stochastic method the objective is
     a deterministic function of theta.
 
-    A lower theta bound that leaves X^T X + n*theta*I indefinite is refused
-    before any back-end is prepared.
+    A rational degree that is not a whole number >= 0, and a lower theta bound that leaves
+    X^T X + n*theta*I indefinite, are refused before any back-end is prepared.
     """
     t_start = time.perf_counter()
+    if interpolation is not None:
+        interpolation = checked_count("p", interpolation, least=0)
     lo, hi = problem.theta_bounds
     lam_min = float(problem.ridge_spectrum[0][0])
     if lam_min + problem.n * lo <= 0.0:
@@ -367,7 +369,7 @@ def gcv_experiment(problem: GcvProblem, interpolation=None, method="cholesky",
         node_arr = ()
         optimizer_taus = backend_taus
     else:
-        p = int(interpolation)
+        p = interpolation
         if nodes is None:
             if p not in GCV_NODE_SETS:
                 raise InvalidShape(f"no default node set for p={p}; pass nodes")

@@ -30,7 +30,7 @@ from .exceptions import (
     PoleInDomain,
     SingularSystem,
 )
-from .matrices import SpdMatrix
+from .matrices import SpdMatrix, checked_count
 from .ortho import OrthoCoefficients, eval_ortho_function, gram_schmidt
 
 # The basis family oscillates near the origin, so by default it refuses
@@ -281,9 +281,7 @@ def fit_rational(ctx: TauContext, pts: InterpolantPoints, p,
     values: no decreasing Stieltjes curve, as tau is, passes through them.
     ``fit_residual`` is the largest relative miss of a node value; above 1e-8 it warns.
     """
-    if not (float(p).is_integer() and p >= 0):
-        raise InvalidShape(f"p must be >= 0 and whole, got {p!r}")
-    p = int(p)
+    p = checked_count("p", p, least=0)
     if len(pts) != 2 * p:
         raise InvalidShape(f"rational fit of degree p={p} needs exactly {2 * p} nodes, "
                            f"got {len(pts)}")

@@ -18,7 +18,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg.cython_blas
@@ -283,12 +283,17 @@ class SpdMatrix:
     ``packed_diagonal``) or an implicit identity (no stored entries), plus a diagonal shift
     that every reader adds, so A + t*I shares A's array (``estimators.shifted_operand``).
     Positive definiteness surfaces as :class:`NotPositiveDefinite` at factorization time.
+    ``psd`` certifies that the stored part, before the shift, is positive semidefinite, so
+    that the shift is a lower bound on the spectrum: ``build_exponential_kernel``, ``identity``
+    and ``GcvProblem.shifted_gram`` (X^T X) set it, a B = I shift keeps it, and ``from_dense``
+    and a stored-B shift leave it False.
     """
 
     n: int
     kind: str  # "packed" | "identity"
     data: object = field(repr=False, default=None)
     shift: float = 0.0
+    psd: bool = False
 
     def __post_init__(self):  # the BLAS routines take data by address, so its size is checked
         if self.kind == "packed" and _packed_order(self.data) != self.n:
@@ -313,7 +318,8 @@ class SpdMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n=checked_count("the order of a non-empty identity", n), kind="identity")
+        return cls(n=checked_count("the order of a non-empty identity", n), kind="identity",
+                   psd=True)
 
     @property
     def is_identity(self):
@@ -363,10 +369,10 @@ def checked_orders(A: SpdMatrix, B: SpdMatrix | None):
         raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
 
 
-def checked_count(name, value) -> int:
-    """value as an int; InvalidShape unless it is a whole number >= 1 (numpy integers pass)."""
-    if not (float(value).is_integer() and value >= 1):
-        raise InvalidShape(f"{name} must be >= 1 and whole, got {value!r}")
+def checked_count(name, value, least=1) -> int:
+    """value as an int; InvalidShape unless it is a whole number >= least (numpy integers pass)."""
+    if not (float(value).is_integer() and value >= least):
+        raise InvalidShape(f"{name} must be >= {least} and whole, got {value!r}")
     return int(value)
 
 
@@ -517,11 +523,14 @@ def build_kernel(points: PointCloud, kernel_fn) -> SpdMatrix:
 
 
 def build_exponential_kernel(points: PointCloud, rho) -> SpdMatrix:
-    """Isotropic exponential-decay correlation matrix exp(-|x_i - x_j| / rho), built in place."""
+    """Isotropic exponential-decay correlation matrix exp(-|x_i - x_j| / rho), built in place.
+
+    exp(-d / rho) is a positive-definite function, so the matrix is certified ``psd``."""
     rho = float(rho)
     if rho <= 0.0:
         raise InvalidShape("rho must be positive")
-    return build_kernel(points, lambda d: np.exp(np.divide(d, -rho, out=d), out=d))
+    return replace(build_kernel(points, lambda d: np.exp(np.divide(d, -rho, out=d), out=d)),
+                   psd=True)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,7 @@ def differential_evolution(objective, bounds, popsize=40, max_generations=200,
         raise InvalidShape(f"bounds must be finite with lo < hi, got {lo!r}, {hi!r}")
     if (popsize := checked_count("popsize", popsize)) < 4:
         raise InvalidShape("popsize must be >= 4")
-    if not (float(max_generations).is_integer() and max_generations >= 0):
-        raise InvalidShape(f"max_generations must be >= 0 and whole, got {max_generations!r}")
+    max_generations = checked_count("max_generations", max_generations, least=0)
 
     def scores(xs):
         if (values := np.asarray(objective(xs), dtype=float)).shape != xs.shape:

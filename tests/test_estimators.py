@@ -25,9 +25,9 @@ from traceinv import (
     trace_inv_hutchinson,
     trace_inv_slq,
 )
-from traceinv.estimators import lanczos, trace_inv_exact_eigen
+from traceinv.estimators import RADAU_SE_FRACTION, _gauss_radau, lanczos, trace_inv_exact_eigen
 from traceinv.experiments import make_gcv_problem
-from traceinv.matrices import cholesky, inverse_factor
+from traceinv.matrices import build_exponential_kernel, cholesky, grid_points, inverse_factor
 
 import traceinv.estimators
 import traceinv.matrices as matrices
@@ -83,6 +83,16 @@ class TestShiftedOperand:
             assert est(M).value.hex() == est(materialized).value.hex()
         slq = [trace_inv_slq(N, n_v=5, degree=8, seed=3).value for N in (M, materialized)]
         assert slq[0] == pytest.approx(slq[1], rel=1e-12)
+
+    def test_psd_certificate_sources(self, rng):
+        # only operands whose stored part is known PSD carry it; a B = I shift keeps it
+        K = build_exponential_kernel(grid_points(3), rho=0.1)
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 9))
+        I = SpdMatrix.identity(9)
+        assert K.psd and I.psd and not A.psd
+        assert shifted_operand(K, I, 0.5).psd and shifted_operand(K, None, -0.01).psd
+        assert not shifted_operand(A, I, 0.5).psd and not shifted_operand(K, A, 0.5).psd
+        assert make_gcv_problem(n=30, m=10, seed=1).shifted_gram.psd
 
     def test_shifted_a_with_dense_b_gets_a_fresh_array(self, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(1, 2, 5))
@@ -399,6 +409,97 @@ class TestSlq:
         a = trace_inv_slq(M, n_v=20, degree=6, seed=5)
         b = trace_inv_slq(M, n_v=20, degree=6, seed=5)
         assert a.value == b.value
+
+
+def capped_slq(M, n_v, degree, seed):
+    """SLQ run to the cap: each block's recurrences with no stop rule, then the Gauss values."""
+    blocks = traceinv.estimators._probe_blocks(M.n, n_v, seed)
+    samples = np.concatenate([gauss_values(lanczos(M, Z, degree), M.n) for Z in blocks])
+    return float(np.mean(samples))
+
+
+class TestGaussRadauStop:
+    """``degree`` is a cap: a certified operand stops at its Gauss-Radau bracket."""
+
+    @staticmethod
+    def bracket_steps(tri, a):
+        """(g_k, r_k) of every step k of a single recurrence, by ``_gauss_radau``."""
+        beta = np.append(tri.beta, 0.0)  # beta[k] is the coefficient after step k
+        state, steps = None, []
+        for k in range(tri.degree):
+            state = _gauss_radau(state, tri.alpha[k], beta[k - 1] if k else 0.0, beta[k], a)
+            steps.append((state.gauss, state.radau, state.ok))
+        return steps
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 14), st.floats(1e-3, 10.0), st.integers(0, 10_000))
+    def test_property_bracket_holds_at_every_step(self, n, t, seed):
+        # B = I, node = shift: g_k <= z^T M^-1 z / |z|^2 <= r_k, to 1e-12 relative
+        rng = np.random.default_rng(seed)
+        A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-3.0, 1.0, n))
+        M = shifted_operand(A, None, t)
+        z = rng.standard_normal(n)
+        exact = z @ np.linalg.solve(M.to_dense(), z) / (z @ z)
+        steps = self.bracket_steps(lanczos(M, z, degree=n), t)
+        for gauss, radau, ok in steps:
+            assert ok
+            assert gauss <= exact * (1.0 + 1e-12) and radau >= exact * (1.0 - 1e-12)
+        assert steps[-1][0] == pytest.approx(exact, rel=1e-10)
+
+    def test_recurrence_matches_explicit_rules(self, rng):
+        # g_k = e1^T T_k^-1 e1; r_k = e1^T R^-1 e1 for the Radau matrix R of order k + 1,
+        # which has the node a as an eigenvalue
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.0, 3.0, 12))
+        a = 0.25
+        tri = lanczos(shifted_operand(A, None, a), rng.standard_normal(12), degree=6)
+        for k, (gauss, radau, _) in enumerate(self.bracket_steps(tri, a)[:-1], start=1):
+            off = tri.beta[:k - 1]
+            T = np.diag(tri.alpha[:k]) + np.diag(off, 1) + np.diag(off, -1)
+            e1 = np.eye(k + 1)[0]
+            delta = np.linalg.solve(T - a * np.eye(k), tri.beta[k - 1] ** 2 * np.eye(k)[-1])
+            R = np.zeros((k + 1, k + 1))
+            R[:k, :k], R[k, k] = T, a + delta[-1]
+            R[k, k - 1] = R[k - 1, k] = tri.beta[k - 1]
+            assert np.min(np.linalg.eigvalsh(R)) == pytest.approx(a, rel=1e-10)
+            assert gauss == pytest.approx(np.linalg.solve(T, e1[:k])[0], rel=1e-12)
+            assert radau == pytest.approx(np.linalg.solve(R, e1)[0], rel=1e-10)
+
+    @pytest.mark.parametrize("t", [1.0, 10.0])
+    def test_kernel_stop_within_a_tenth_se_of_the_cap(self, t):
+        M = shifted_operand(build_exponential_kernel(grid_points(20), rho=0.1), None, t)
+        stopped = trace_inv_slq(M, n_v=30, degree=30, seed=2)
+        assert stopped.degree < 30 and stopped.record()["degree"] == stopped.degree
+        capped = capped_slq(M, 30, 30, 2)
+        assert abs(stopped.value - capped) <= RADAU_SE_FRACTION * stopped.std_error
+
+    @pytest.mark.parametrize("case", ["from_dense", "stored_b", "zero_shift", "negative_shift",
+                                      "one_probe", "indefinite_stored_part"])
+    def test_uncertified_operands_run_to_the_cap_bit_for_bit(self, case):
+        K = build_exponential_kernel(grid_points(12), rho=0.1)
+        n_v = 1 if case == "one_probe" else 30
+        M = {
+            "from_dense": lambda: shifted_operand(SpdMatrix.from_dense(K.to_dense()), None, 10.0),
+            "stored_b": lambda: shifted_operand(K, SpdMatrix.from_dense(np.eye(K.n)), 10.0),
+            "zero_shift": lambda: K,
+            "negative_shift": lambda: shifted_operand(K, None, -0.01),
+            "one_probe": lambda: shifted_operand(K, None, 10.0),
+            # lambda_min(A) = -0.05, so the shift 1 is no lower bound on A + I's spectrum; were
+            # it taken as the node, the block would stop at step 6 with every pivot positive
+            "indefinite_stored_part": lambda: shifted_operand(SpdMatrix.from_dense(
+                K.to_dense() - (np.linalg.eigvalsh(K.to_dense())[0] + 0.05) * np.eye(K.n)),
+                None, 1.0),
+        }[case]()
+        est = trace_inv_slq(M, n_v=n_v, degree=12, seed=4)
+        assert est.degree == 12
+        assert est.value.hex() == capped_slq(M, n_v, 12, 4).hex()
+
+    def test_degree_recorded_per_method(self):
+        M = shifted_operand(build_exponential_kernel(grid_points(8), rho=0.1), None, 100.0)
+        assert trace_inv_slq(M, n_v=10, degree=20, seed=0).degree < 20
+        assert trace_inv_slq(SpdMatrix.from_dense(4.0 * np.eye(9)), 5, 7, 0).degree == 1
+        for est in (trace_inv_exact_cholesky(M), trace_inv_hutchinson(M, n_v=3, seed=0),
+                    prepare_trace(M, method="eigen")([0.0])[0]):
+            assert est.degree == 0 and est.record()["degree"] == 0
 
 
 @pytest.mark.parametrize("estimator, options", [(trace_inv_hutchinson, {}),

@@ -444,6 +444,16 @@ class TestGcvExperiment:
             gcv_experiment(problem, interpolation=interpolation, method="cholesky")
         assert calls == []
 
+    @pytest.mark.parametrize("interpolation", [1.5, -1])
+    def test_non_whole_rational_degree_refused_up_front(self, small_problem, interpolation,
+                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr(traceinv.experiments, "prepare_trace",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(InvalidShape, match="p must be >= 0 and whole"):
+            gcv_experiment(small_problem, interpolation=interpolation, method="cholesky")
+        assert calls == []
+
     def test_default_node_sets(self):
         assert GCV_NODE_SETS[1] == (1e-3, 1e-1)
         assert GCV_NODE_SETS[2] == (1e-3, 1e-2, 1e-1, 1.0)
