@@ -227,7 +227,7 @@ def _gauss_radau(prev, alpha, beta, beta_next, a) -> _Bracket:
     return _Bracket(d, e, c2, gauss, gauss + c2 / d_radau, ok & (e > 0.0) & (d_radau > 0.0))
 
 
-def lanczos(M: SpdMatrix, v0, degree, node=None, se_fraction=0.0) -> LanczosTriDiag:
+def lanczos(M: SpdMatrix, v0, degree, se_fraction=None) -> LanczosTriDiag:
     """Lanczos tridiagonalization with full reorthogonalization.
 
     ``v0`` is one start vector (n,) or a block (n, b) with one recurrence
@@ -236,10 +236,12 @@ def lanczos(M: SpdMatrix, v0, degree, node=None, se_fraction=0.0) -> LanczosTriD
     falls below LANCZOS_BREAKDOWN_RTOL times a cheap norm estimate of M,
     i.e. at an invariant subspace; its later entries are zero.
 
-    Given a ``node`` a <= lambda_min(M), each column carries its bracket (``_gauss_radau``),
-    and a block of two or more columns stops before the product of a step once every
-    column's r_k - g_k is at most ``se_fraction`` times the sample standard deviation of the
-    columns' g_k, and every pivot of the bracket is positive. Without one, ``degree`` steps
+    Given ``se_fraction``, a block of two or more columns on an operand that certifies its
+    stored part PSD (``SpdMatrix.psd``) and carries a shift a > 0, so a <= lambda_min(M),
+    takes a as the Gauss-Radau node: each column carries its bracket (``_gauss_radau``), and
+    the block stops before the product of a step once every column's r_k - g_k is at most
+    ``se_fraction`` times the sample standard deviation of the columns' g_k, and every pivot
+    of the bracket is positive. Otherwise, and with ``se_fraction=None``, ``degree`` steps
     are run, as they would be with a node whose bracket never closes.
     """
     degree = checked_count("degree", degree)
@@ -250,7 +252,9 @@ def lanczos(M: SpdMatrix, v0, degree, node=None, se_fraction=0.0) -> LanczosTriD
         raise InvalidShape("start vector must be nonzero")
     breakdown = LANCZOS_BREAKDOWN_RTOL * max(M.entry_norm(), 1e-300)
     b, n = V.shape
-    degree, node = min(degree, n), node if b > 1 else None
+    degree = min(degree, n)
+    certified = se_fraction is not None and b > 1 and M.psd and M.shift > 0.0
+    node = M.shift if certified else None
     Q = np.zeros((b, degree, n))
     alpha, beta = np.zeros((2, degree, b))  # beta[k] couples steps k-1 and k; beta[0] = 0
     q = V / norms[:, None]
@@ -301,16 +305,16 @@ def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
     operand, the rule of the Cholesky pivot check.
 
     When M certifies its stored part PSD (``SpdMatrix.psd``) and carries a shift a > 0, a is
-    a lower bound on its spectrum and the Gauss-Radau node: a block of n_v > 1 probes stops
-    once every probe's bracket n (r_k - g_k) is at most RADAU_SE_FRACTION times the standard
-    error s / sqrt(n_v), s the spread of the block's n g_k. Any other operand runs to the cap.
+    a lower bound on its spectrum and the Gauss-Radau node: ``lanczos`` stops a block of two
+    or more probes once every probe's bracket n (r_k - g_k) is at most RADAU_SE_FRACTION
+    times the standard error s / sqrt(n_v), s the spread of the block's n g_k. Any other
+    operand runs to the cap.
     """
     n_v = _probe_count(n_v, seed)
     degree = checked_count("degree", degree)
-    node = M.shift if M.psd and M.shift > 0.0 and n_v > 1 else None
     floor, samples, used = PIVOT_RTOL * M.entry_norm(), [], 0
     for Z in _probe_blocks(M.n, n_v, seed):
-        tri = lanczos(M, Z, degree, node, RADAU_SE_FRACTION / np.sqrt(n_v))
+        tri = lanczos(M, Z, degree, RADAU_SE_FRACTION / np.sqrt(n_v))
         used = max(used, tri.degree)
         for j, s in enumerate(tri.steps):
             theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha[:s, j], tri.beta[:s - 1, j])

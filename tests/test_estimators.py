@@ -412,7 +412,7 @@ class TestSlq:
 
 
 def capped_slq(M, n_v, degree, seed):
-    """SLQ run to the cap: each block's recurrences with no stop rule, then the Gauss values."""
+    """SLQ run to the cap: each block's recurrences with no ``se_fraction``, then Gauss values."""
     blocks = traceinv.estimators._probe_blocks(M.n, n_v, seed)
     samples = np.concatenate([gauss_values(lanczos(M, Z, degree), M.n) for Z in blocks])
     return float(np.mean(samples))
@@ -471,6 +471,15 @@ class TestGaussRadauStop:
         assert stopped.degree < 30 and stopped.record()["degree"] == stopped.degree
         capped = capped_slq(M, 30, 30, 2)
         assert abs(stopped.value - capped) <= RADAU_SE_FRACTION * stopped.std_error
+
+    def test_lanczos_reads_its_node_from_the_operand(self):
+        # the node is the certified shift; no fraction, or one column, runs to the cap
+        M = shifted_operand(build_exponential_kernel(grid_points(10), rho=0.1), None, 10.0)
+        Z = next(traceinv.estimators._probe_blocks(M.n, 8, 0))
+        assert lanczos(M, Z, 20, 0.1).degree < 20
+        assert lanczos(M, Z, 20).degree == 20
+        assert lanczos(M, Z[:, 0], 20, 0.1).degree == 20
+        assert lanczos(SpdMatrix.from_dense(M.to_dense()), Z, 20, 0.1).degree == 20
 
     @pytest.mark.parametrize("case", ["from_dense", "stored_b", "zero_shift", "negative_shift",
                                       "one_probe", "indefinite_stored_part"])
