@@ -5,7 +5,7 @@ as A + t*B (O(1) for B = I); ``prepare_trace`` is the one loop over t. The exact
 Cholesky route turns a packed copy of M (n(n+1)/2 entries) in place into the inverse of
 its factor in one recursive BLAS-3 pass with no triangular solve
 (``matrices.inverse_factor``) and sums its squares on one thread, so it needs no other
-buffer and sums no zeros. Hutchinson alone factors with dpftrf (``matrices.cholesky``).
+buffer and sums no zeros. Hutchinson solves on that pass's first half (``matrices.cholesky``).
 The stochastic routes draw Rademacher probes from per-sample seed streams derived from
 one master seed, so results are reproducible and independent of processing order.
 """
@@ -168,11 +168,12 @@ def _probe_count(n_v, seed):
 
 
 def _probe_blocks(n, n_v, seed):
-    """The Rademacher probes of ``seed`` as (n, <= PROBE_BLOCK) blocks; probe k is column k."""
+    """The Rademacher probes of ``seed`` as ceil(n_v / PROBE_BLOCK) blocks (n, <= PROBE_BLOCK)
+    of widths within one, never a short tail that SLQ cannot stop; probe k is column k."""
     streams = np.random.SeedSequence(seed).spawn(n_v)  # probe k's has spawn key (k,)
-    for start in range(0, n_v, PROBE_BLOCK):
-        yield np.column_stack([np.random.default_rng(s).integers(0, 2, size=n) * 2.0 - 1.0
-                               for s in streams[start:start + PROBE_BLOCK]])
+    for part in np.array_split(np.arange(n_v), -(-n_v // PROBE_BLOCK)):
+        yield np.column_stack([np.random.default_rng(streams[k]).integers(0, 2, size=n) * 2.0
+                               - 1.0 for k in part])
 
 
 def _sample_mean(samples, method, seed, degree=0) -> TraceEstimate:
@@ -187,7 +188,7 @@ def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
     """Monte-Carlo trace estimate (1/n_v) * sum_k z_k^T M^-1 z_k.
 
     Probes z_k are Rademacher. One Cholesky factorization of M, packed,
-    serves every probe, and each probe block takes one dtfsm solve on it.
+    serves every probe, and each probe block takes one ``forward_solve`` on it.
     """
     n_v = _probe_count(n_v, seed)
     U = cholesky(M)

@@ -148,10 +148,9 @@ _CHAR, _ADDRESS = ctypes.c_char_p, ctypes.c_void_p  # _ADDRESS: a double * into 
 _INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
 _ONE, _MINUS_ONE = ctypes.c_double(1.0), ctypes.c_double(-1.0)  # alpha and beta, only read
 # dtrtri(uplo, diag, n, a, lda, info), dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda,
-# b, ldb), dtrttf(transr, uplo, n, a, lda, arf, info), dpftrf(transr, uplo, n, a, info),
-# dtfsm(transr, side, uplo, trans, diag, m, n, alpha, a, b, ldb), dpotrf(uplo, n, a, lda,
-# info), dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc), dtfttr(transr, uplo, n, arf,
-# a, lda, info), dgemm(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) and
+# b, ldb), dtrttf(transr, uplo, n, a, lda, arf, info), dpotrf(uplo, n, a, lda, info),
+# dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc), dtfttr(transr, uplo, n, arf, a, lda,
+# info), dgemm(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) and
 # dsymm(side, uplo, m, n, alpha, a, lda, b, ldb, beta, c, ldc)
 _dtrtri = _cython_routine(scipy.linalg.cython_lapack, "dtrtri",
                           _CHAR, _CHAR, _INT, _ADDRESS, _INT, _INT)
@@ -159,12 +158,9 @@ _dtrmm = _cython_routine(scipy.linalg.cython_blas, "dtrmm", _CHAR, _CHAR, _CHAR,
                          _INT, _DOUBLE, _ADDRESS, _INT, _ADDRESS, _INT)
 _dtrttf = _cython_routine(scipy.linalg.cython_lapack, "dtrttf",
                           _CHAR, _CHAR, _INT, _ADDRESS, _INT, _ADDRESS, _INT)
-_dpftrf = _cython_routine(scipy.linalg.cython_lapack, "dpftrf", _CHAR, _CHAR, _INT, _ADDRESS, _INT)
 _dpotrf = _cython_routine(scipy.linalg.cython_lapack, "dpotrf", _CHAR, _INT, _ADDRESS, _INT, _INT)
 _dsyrk = _cython_routine(scipy.linalg.cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _DOUBLE,
                          _ADDRESS, _INT, _DOUBLE, _ADDRESS, _INT)
-_dtfsm = _cython_routine(scipy.linalg.cython_lapack, "dtfsm", _CHAR, _CHAR, _CHAR, _CHAR, _CHAR,
-                         _INT, _INT, _DOUBLE, _ADDRESS, _ADDRESS, _INT)
 _dtfttr = _cython_routine(scipy.linalg.cython_lapack, "dtfttr",
                           _CHAR, _CHAR, _INT, _ADDRESS, _ADDRESS, _INT, _INT)
 _dgemm = _cython_routine(scipy.linalg.cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT,
@@ -174,12 +170,19 @@ _dsymm = _cython_routine(scipy.linalg.cython_blas, "dsymm", _CHAR, _CHAR, _INT, 
 
 
 def packed_diagonal(n):
-    """Positions of U's diagonal in ``cholesky``'s storage, LAPACK's rectangular full packed
-    storage with TRANSR = 'N', UPLO = 'U': with n1 = n // 2, an F-ordered array of leading
-    dimension 2 n1 + 1 holds U12 at offset 0, U22 at n1 and U11^T (lower) at n1 + 1. UPLO = 'U'
-    is A's lower triangle read F-ordered; the four variants factored within 10% of each other."""
+    """Positions of the diagonal in the packed storage of order n (``_rfp_blocks``)."""
     n1, i = n // 2, np.arange(n)
     return np.where(i < n1, n1 + 1 + i * (2 * n1 + 2), n1 + (i - n1) * (2 * n1 + 2))
+
+
+def _rfp_blocks(n, base):
+    """(n1, n2, ld, T1, T2) of order n's packed storage at ``base``, LAPACK's rectangular full
+    packed storage (ACM TOMS 2010): an F-ordered array of leading dimension ld = 2 n1 + 1,
+    n1 = n // 2, holding block (1, 2) at base, the upper triangle T2 of block (2, 2) and the
+    lower one T1 of block (1, 1). TRANSR = 'N', UPLO = 'U' (A's lower triangle read F-ordered):
+    all four variants factored within 10% of each other."""
+    n1 = n // 2
+    return n1, n - n1, 2 * n1 + 1, base + 8 * (n1 + 1), base + 8 * n1
 
 
 def _packed_order(U) -> int:
@@ -280,7 +283,7 @@ class SpdMatrix:
     """Symmetric positive-definite operand: data + shift * I.
 
     Storage is packed (one triangle, n(n+1)/2 doubles in ``cholesky``'s storage, see
-    ``packed_diagonal``) or an implicit identity (no stored entries), plus a diagonal shift
+    ``_rfp_blocks``) or an implicit identity (no stored entries), plus a diagonal shift
     that every reader adds, so A + t*I shares A's array (``estimators.shifted_operand``).
     Positive definiteness surfaces as :class:`NotPositiveDefinite` at factorization time.
     ``psd`` certifies that the stored part, before the shift, is positive semidefinite, so
@@ -349,11 +352,11 @@ class SpdMatrix:
         if self.is_identity:
             product = block.copy()
         else:
-            product, n1 = np.zeros(block.shape, order="F"), self.n // 2
-            a, ld = self.data.ctypes.data, ctypes.c_int(2 * n1 + 1)
-            _off_diagonal_product(a, ld, n1, self.n - n1, block, product, 0, n1)
-            _symmetric_product(b"L", a + 8 * (n1 + 1), ld, n1, block, product, 0)
-            _symmetric_product(b"U", a + 8 * n1, ld, self.n - n1, block, product, n1)
+            n1, n2, ld, T1, T2 = _rfp_blocks(self.n, base := self.data.ctypes.data)
+            product, ld = np.zeros(block.shape, order="F"), ctypes.c_int(ld)
+            _off_diagonal_product(base, ld, n1, n2, block, product, 0, n1)
+            _symmetric_product(b"L", T1, ld, n1, block, product, 0)
+            _symmetric_product(b"U", T2, ld, n2, block, product, n1)
         if self.shift:
             product += self.shift * block
         return product.reshape(v.shape)
@@ -390,62 +393,57 @@ def _packed(S: SpdMatrix) -> np.ndarray:
     return packed
 
 
-def _check_factored(info, max_diag, min_pivot):
-    """NotPositiveDefinite for a failed leading minor (info > 0, 1-based), or else for a
-    smallest pivot min_pivot() whose square is below PIVOT_RTOL * max_diag."""
-    if info != 0:
-        raise NotPositiveDefinite(f"Cholesky factorization failed (info={info})")
-    if (pivot := min_pivot() ** 2) < PIVOT_RTOL * max_diag:
-        raise NotPositiveDefinite(f"pivot {pivot:.3e} below tolerance "
-                                  f"{PIVOT_RTOL * max_diag:.3e}; matrix is numerically indefinite")
-
-
 def cholesky(M: SpdMatrix) -> np.ndarray:
-    """Packed upper factor U = L^T with M = U^T U.
+    """Packed upper factor U of M = U^T U in block-inverse form: U12 with U11^-T and U22^-1.
 
-    U is one fresh array of n(n+1)/2 entries (``packed_diagonal``; Gustavson, Wasniewski,
-    Dongarra & Langou, ACM TOMS 2010): ``_packed`` copies M there and dpftrf factors it in
-    place. Only Hutchinson's probe solves need U itself; an exact trace takes
-    ``inverse_factor``. Raises NotPositiveDefinite; M is never written."""
-    U, info = _packed(M), ctypes.c_int(0)
-    with lapack_threads(M.n):
-        _dpftrf(b"N", b"U", ctypes.c_int(M.n), U.ctypes.data, info)
-    _check_factored(info.value, M.entry_norm(), lambda: float(np.min(U[packed_diagonal(M.n)])))
-    return U
-
-
-def inverse_factor(M: SpdMatrix) -> np.ndarray:
-    """U^-1 for M = U^T U, in ``cholesky``'s packed storage.
-
-    ``_packed`` copies M, turned into U^-1 in place in one pass with no solve:
-    ``_factor_invert`` on T1 (U11^T, lower), U12 = U11^-T A12 by dtrmm, A22 - U12^T U12 by
-    dsyrk into T2, ``_factor_invert`` on T2 (U22, upper), then dtftri's two dtrmm calls for
-    -U11^-1 U12 U22^-1. Raises NotPositiveDefinite with dpftrf's info; the smallest pivot
-    is 1 / max(U^-1_ii). M is never written."""
-    W = _packed(M)
-    n1, n2, ld, base = M.n // 2, M.n - M.n // 2, 2 * (M.n // 2) + 1, W.ctypes.data
-    T1, T2, rows, cols, lda = base + 8 * (n1 + 1), base + 8 * n1, *map(ctypes.c_int, (n1, n2, ld))
+    ``_packed`` copies M into one fresh array (``_rfp_blocks``), turned in place with no solve
+    into ``_factor_invert`` of T1 (U11^-T), U12 = U11^-T A12 by dtrmm, A22 - U12^T U12 by
+    dsyrk into T2 and ``_factor_invert`` of T2 (U22^-1). NotPositiveDefinite for a failed
+    leading minor (1-based info), or a smallest pivot 1 / max(diagonal) whose square is below
+    PIVOT_RTOL times M's largest entry. M is never written."""
+    U = _packed(M)
+    n1, n2, ld, T1, T2 = _rfp_blocks(M.n, base := U.ctypes.data)
+    rows, cols, lda = map(ctypes.c_int, (n1, n2, ld))
     with lapack_threads(M.n):
         if not (info := _factor_invert(b"L", T1, ld, n1)):
             _dtrmm(b"L", b"L", b"N", b"N", rows, cols, _ONE, T1, lda, base, lda)
             _dsyrk(b"U", b"T", cols, rows, _MINUS_ONE, base, lda, _ONE, T2, lda)
             if info := _factor_invert(b"U", T2, ld, n2):
                 info += n1
-            else:
-                _dtrmm(b"L", b"L", b"T", b"N", rows, cols, _MINUS_ONE, T1, lda, base, lda)
-                _dtrmm(b"R", b"U", b"N", b"N", rows, cols, _ONE, T2, lda, base, lda)
-    _check_factored(info, M.entry_norm(), lambda: 1.0 / float(np.max(W[packed_diagonal(M.n)])))
+    if info:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (info={info})")
+    pivot, floor = (1.0 / np.max(U[packed_diagonal(M.n)])) ** 2, PIVOT_RTOL * M.entry_norm()
+    if pivot < floor:
+        raise NotPositiveDefinite(f"pivot {pivot:.3e} below tolerance {floor:.3e}; "
+                                  "matrix is numerically indefinite")
+    return U
+
+
+def inverse_factor(M: SpdMatrix) -> np.ndarray:
+    """U^-1 for M = U^T U, in ``cholesky``'s packed storage: ``cholesky``, then dtftri's two
+    dtrmm calls for -U11^-1 U12 U22^-1 in place of U12. Raises as ``cholesky`` does."""
+    W = cholesky(M)
+    n1, n2, ld, T1, T2 = _rfp_blocks(M.n, base := W.ctypes.data)
+    rows, cols, lda = map(ctypes.c_int, (n1, n2, ld))
+    with lapack_threads(M.n):
+        _dtrmm(b"L", b"L", b"T", b"N", rows, cols, _MINUS_ONE, T1, lda, base, lda)
+        _dtrmm(b"R", b"U", b"N", b"N", rows, cols, _ONE, T2, lda, base, lda)
     return W
 
 
 def forward_solve(U, Z) -> np.ndarray:
-    """L^-1 Z = U^-T Z for the packed factor U and a block Z (n, b), by dtfsm on a copy of Z."""
+    """L^-1 Z = U^-T Z for ``cholesky``'s U and a block Z (n, b), on an F-ordered copy of Z:
+    Y1 = U11^-T Z1 (dtrmm), Z2 - U12^T Y1 (dgemm), then Y2 = U22^-T times that (dtrmm)."""
     Y = np.array(Z, dtype=np.float64, order="F")
     if Y.ndim != 2 or Y.shape[0] != _packed_order(U):
         raise InvalidShape(f"expected a block of {_packed_order(U)} rows, got shape {Y.shape}")
-    n, b = map(ctypes.c_int, Y.shape)
-    _dtfsm(b"N", b"L", b"U", b"T", b"N", n, b, ctypes.c_double(1.0), U.ctypes.data,
-           Y.ctypes.data, n)
+    n1, n2, ld, T1, T2 = _rfp_blocks(len(Y), base := U.ctypes.data)
+    rows, cols, width, lda, ldy = map(ctypes.c_int, (n1, n2, Y.shape[1], ld, len(Y)))
+    Y1, Y2 = Y.ctypes.data, Y.ctypes.data + 8 * n1
+    with lapack_threads(len(Y)):
+        _dtrmm(b"L", b"L", b"N", b"N", rows, width, _ONE, T1, lda, Y1, ldy)
+        _dgemm(b"T", b"N", cols, width, rows, _MINUS_ONE, base, lda, Y1, ldy, _ONE, Y2, ldy)
+        _dtrmm(b"L", b"U", b"T", b"N", cols, width, _ONE, T2, lda, Y2, ldy)
     return Y
 
 

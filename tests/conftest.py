@@ -28,10 +28,16 @@ def packed_order(U):
 
 
 def lower_factor(U):
-    """C-ordered lower factor L = U^T of a packed factor from ``cholesky``: one dtfttr call,
-    whose output f2py allocates zero-filled, so the strict lower triangle of U is 0."""
-    upper, info = scipy.linalg.lapack.dtfttr(packed_order(U), U, transr="N", uplo="U")
+    """C-ordered lower factor L = U^T of a packed factor from ``cholesky``, which holds its two
+    diagonal blocks inverted: one dtfttr call, whose output f2py allocates zero-filled, so the
+    strict lower triangle of U is 0, then dtrtri on the blocks of orders n // 2 and n - n // 2."""
+    n = packed_order(U)
+    upper, info = scipy.linalg.lapack.dtfttr(n, U, transr="N", uplo="U")
     assert info == 0
+    for block in (slice(0, n // 2), slice(n // 2, n)):
+        if block.stop > block.start:
+            upper[block, block], info = scipy.linalg.lapack.dtrtri(upper[block, block])
+            assert info == 0
     return upper.T
 
 

@@ -373,6 +373,29 @@ class TestProbeBlocks:
                                               rel=1e-10)
 
 
+class TestProbeSplit:
+    """n_v probes go in ceil(n_v / PROBE_BLOCK) blocks of near-equal width, never a short tail."""
+
+    def test_widths_and_order(self):
+        def widths(n_v):
+            return [Z.shape[1] for Z in traceinv.estimators._probe_blocks(4, n_v, 0)]
+        assert widths(1) == [1] and widths(64) == [64] and widths(128) == [64, 64]
+        assert widths(65) == [33, 32] and widths(130) == [44, 43, 43]
+        Z = np.hstack(list(traceinv.estimators._probe_blocks(30, 65, 4)))
+        assert all(np.array_equal(Z[:, k], probe(4, k, 30)) for k in range(65))
+
+    def test_65_probes_stop_early(self):
+        # one block of 64 and one of a single probe ran the second to the cap of 20
+        M = shifted_operand(build_exponential_kernel(grid_points(15), rho=0.1), None, 1.0)
+        assert trace_inv_slq(M, n_v=65, degree=20, seed=3).degree < 20
+        L = scipy.linalg.cholesky(M.to_dense(), lower=True)
+        samples = [np.sum(scipy.linalg.solve_triangular(L, probe(3, k, M.n), lower=True) ** 2)
+                   for k in range(65)]
+        est = trace_inv_hutchinson(M, n_v=65, seed=3)
+        assert est.value == pytest.approx(np.mean(samples), rel=1e-14)
+        assert est.std_error == pytest.approx(np.std(samples, ddof=1) / np.sqrt(65), rel=1e-13)
+
+
 class TestSlq:
     def test_scaled_identity_exact(self):
         M = SpdMatrix.from_dense(4.0 * np.eye(9))

@@ -227,18 +227,20 @@ class TestCholesky:
 
     @pytest.mark.parametrize("dense_b", [False, True])
     def test_shift_factored_in_one_buffer(self, monkeypatch, rng, dense_b):
-        real, seen = matrices._dpftrf, []
+        real, seen = matrices._factor_invert, []
 
-        def spy(*args):
-            seen.append(args[3])
-            return real(*args)
+        def spy(uplo, address, ld, order):
+            seen.append((uplo, address, ld, order))
+            return real(uplo, address, ld, order)
 
-        monkeypatch.setattr(matrices, "_dpftrf", spy)
+        monkeypatch.setattr(matrices, "_factor_invert", spy)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
         B = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))[0] if dense_b \
             else SpdMatrix.identity(30)
         U = cholesky(shifted_operand(A, B, 0.7))
-        assert seen == [U.ctypes.data] and U.shape == (30 * 31 // 2,)
+        base = U.ctypes.data  # T1 at 8 (n1 + 1) bytes in, T2 at 8 n1, leading dimension 31
+        assert seen == [(b"L", base + 8 * 16, 31, 15), (b"U", base + 8 * 15, 31, 15)]
+        assert U.shape == (30 * 31 // 2,)
         M = A.to_dense() + 0.7 * (B.to_dense() if dense_b else np.eye(30))
         assert list(map(float.hex, U)) == list(map(float.hex, cholesky(SpdMatrix.from_dense(M))))
 
@@ -291,12 +293,24 @@ class TestLapackThreads:
     def test_large_order_keeps_thread_count(self, monkeypatch, rng, counts):
         monkeypatch.setattr(matrices, "ONE_THREAD_MAX_ORDER", 30)
         before, seen = counts(), []
-        self.spy(monkeypatch, matrices, "_dpftrf", counts, seen)
-        self.spy(monkeypatch, matrices, "_dpotrf", counts, seen)
+        for name in ("_dpotrf", "_dgemm"):
+            self.spy(monkeypatch, matrices, name, counts, seen)
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 30))
-        cholesky(A)
+        matrices.forward_solve(cholesky(A), np.ones((30, 2)))
         inverse_factor(A)
-        assert seen == [("_dpftrf", before), ("_dpotrf", before), ("_dpotrf", before)]
+        # T1 and T2 each, for the factor and again for the inverse; one dgemm in the solve
+        assert seen == [("_dpotrf", before)] * 2 + [("_dgemm", before)] + [("_dpotrf", before)] * 2
+
+    def test_small_probe_solve_on_one_thread(self, monkeypatch, rng, counts):
+        before, seen = counts(), []
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 300))
+        U = cholesky(A)
+        for name in ("_dtrmm", "_dgemm"):
+            self.spy(monkeypatch, matrices, name, counts, seen)
+        matrices.forward_solve(U, np.ones((300, 3)))
+        one = [1] * len(before)
+        assert seen == [("_dtrmm", one), ("_dgemm", one), ("_dtrmm", one)]
+        assert counts() == before
 
     def test_trace_agrees_with_default_thread_count(self, monkeypatch, rng):
         A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 4.0, 300))
@@ -353,9 +367,14 @@ def spd_of_order(n, seed):
     return (M + M.T) / 2
 
 
-def factor_of_order(n, seed):
-    """Packed upper Cholesky factor of ``spd_of_order(n, seed)``."""
-    return cholesky(SpdMatrix.from_dense(spd_of_order(n, seed)))
+def lapack_factor(M):
+    """Packed upper Cholesky factor of the symmetric array M by LAPACK's own dpftrf, through
+    scipy's f2py wrappers: the plain factor, its diagonal blocks not inverted."""
+    packed, info = scipy.linalg.lapack.dtrttf(M)
+    assert info == 0
+    factor, info = scipy.linalg.lapack.dpftrf(M.shape[0], packed)
+    assert info == 0
+    return factor
 
 
 _dtftri = matrices._cython_routine(scipy.linalg.cython_lapack, "dtftri", matrices._CHAR,
@@ -381,14 +400,12 @@ class TestPackedFactor:
     @example(n=1, seed=0)
     @example(n=257, seed=0)
     def test_property_matches_dpftrf(self, n, seed):
+        # the factor rebuilt from its block-inverse form against LAPACK's plain one
         M = spd_of_order(n, seed)
-        U = cholesky(SpdMatrix.from_dense(M))
-        packed, info = scipy.linalg.lapack.dtrttf(M)
+        L = lower_factor(cholesky(SpdMatrix.from_dense(M)))
+        reference, info = scipy.linalg.lapack.dtfttr(n, lapack_factor(M))
         assert info == 0
-        reference, info = scipy.linalg.lapack.dpftrf(n, packed)
-        assert info == 0
-        assert np.linalg.norm(U - reference) <= 1e-14 * np.linalg.norm(reference)
-        L = lower_factor(U)
+        assert np.linalg.norm(L - reference.T) <= 1e-14 * np.linalg.norm(reference)
         assert np.linalg.norm(L @ L.T - M) <= 1e-13 * np.linalg.norm(M)
 
     def test_diagonal_positions_match_dtrttf(self):
@@ -433,7 +450,7 @@ class TestInverseFactor:
     @example(n=257, seed=0)
     @example(n=513, seed=1)
     def test_property_matches_dpftrf_then_dtftri(self, n, seed):
-        reference, info = dtftri(factor_of_order(n, seed))
+        reference, info = dtftri(lapack_factor(spd_of_order(n, seed)))
         assert info == 0
         with recorded_writes() as written:
             W = inverse_factor(SpdMatrix.from_dense(spd_of_order(n, seed)))
@@ -445,7 +462,7 @@ class TestInverseFactor:
         # BLAS runs at its default thread count here
         n = 1030
         assert n >= matrices.ONE_THREAD_MAX_ORDER
-        reference, info = dtftri(factor_of_order(n, 5))
+        reference, info = dtftri(lapack_factor(spd_of_order(n, 5)))
         assert info == 0
         W = inverse_factor(SpdMatrix.from_dense(spd_of_order(n, 5)))
         assert np.linalg.norm(W - reference) <= 1e-13 * np.linalg.norm(reference)
@@ -491,7 +508,7 @@ class TestInverseFactor:
             rng = np.random.default_rng(seed)
             A, _ = spd_from_eigenvalues(rng, np.logspace(0, -np.log10(kappa), 128))
             exact = extended_trace(A.to_dense())
-            lapack = float(np.sum(dtftri(cholesky(A))[0] ** 2))
+            lapack = float(np.sum(dtftri(lapack_factor(A.to_dense()))[0] ** 2))
             fused = float(np.sum(inverse_factor(A) ** 2))
             errors.append([abs(fused - exact) / exact, abs(lapack - exact) / exact])
         fused, lapack = np.median(errors, axis=0)
@@ -505,7 +522,24 @@ class TestForwardSolve:
         expected = scipy.linalg.solve_triangular(lower_factor(U), Z, lower=True)
         np.testing.assert_allclose(matrices.forward_solve(U, Z), expected, rtol=1e-12)
 
-    # dtfsm takes U and Z by address, so a mismatch must be refused before it reads past U
+    # orders across the leaf order 128 and both halves' parities; every column to 1e-12 of
+    # its norm, as an entry near zero carries the rounding of the whole column
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(st.integers(1, 300), st.sampled_from([513, 1025])),
+           st.sampled_from([1, 5, 64]), st.integers(0, 10_000))
+    @example(n=1, b=1, seed=0)
+    @example(n=513, b=5, seed=1)
+    @example(n=1025, b=64, seed=2)
+    def test_property_matches_dense_reference(self, n, b, seed):
+        A = SpdMatrix.from_dense(spd_of_order(n, seed))
+        Z = np.random.default_rng(seed).standard_normal((n, b))
+        L = scipy.linalg.cholesky(A.to_dense(), lower=True)
+        expected = scipy.linalg.solve_triangular(L, Z, lower=True)
+        error = np.linalg.norm(matrices.forward_solve(cholesky(A), Z) - expected, axis=0)
+        assert np.all(error <= 1e-12 * np.linalg.norm(expected, axis=0))
+
+    # dtrmm and dgemm take U and Z by address, so a mismatch must be refused before they
+    # read past U
     @pytest.mark.parametrize("U, Z", [(np.ones(6), np.ones((4, 2))), (np.ones(6), np.ones((2, 2))),
                                       (np.ones(6, dtype=np.float32), np.ones((3, 2))),
                                       (np.ones(6), np.ones(3)), (np.ones((3, 3)), np.ones((3, 2))),
