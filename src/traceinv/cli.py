@@ -1,11 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: trace, interpolate, ortho, gp-experiment, gcv-experiment,
-check-inequalities. Every run writes its artifacts plus a manifest.json
-(the full configuration, seeds, and package version) into the output
-directory, so outputs can be regenerated bit-exactly. Heavy numerical
-modules are imported only after --threads has been applied to the BLAS
-environment. Refused input prints one line and exits 2; 1 is a failed check.
+check-inequalities. Each ``cmd_*`` returns (exit code, {file name: data},
+stdout lines); ``main`` alone writes the artifacts and a manifest.json (the full
+configuration, seeds, and package version) into --out, so outputs can be
+regenerated bit-exactly, then prints. Refused input prints one line, exits 2 and
+writes nothing; 1 is a failed check. Heavy numerical modules are imported only
+after --threads has been applied to the BLAS environment.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from .exceptions import TraceInvError  # loads no numpy
+from . import __version__
+from .exceptions import InvalidShape, TraceInvError  # loads no numpy
 
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS")
@@ -102,47 +105,34 @@ def _load_operand(args):
     return make_gcv_problem(n=n, m=m, seed=seed, s=args.shift).shifted_gram
 
 
-def _write_json(path, data):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+def _write(path, data):
+    """A ``.json`` artifact is any JSON value; a ``.csv`` one is (header, rows)."""
+    if path.suffix == ".json":
+        text = json.dumps(data, indent=2) + "\n"
+    else:
+        header, rows = data
+        text = "".join(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                                for v in row) + "\n" for row in [header, *rows])
+    path.write_text(text)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
-def _write_manifest(out_dir, args, argv):
-    from . import __version__
-
-    config = {k: (str(v) if isinstance(v, Path) else v)
-              for k, v in vars(args).items() if k != "func"}
-    manifest = {
-        "command": args.command,
-        "argv": list(argv),
-        "config": config,
-        "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
+def _manifest(args, argv):
     import numpy
     import scipy
 
-    manifest["numpy_version"] = numpy.__version__
-    manifest["scipy_version"] = scipy.__version__
-    _write_json(out_dir / "manifest.json", manifest)
+    return {
+        "command": args.command,
+        "argv": argv,
+        "config": {k: (str(v) if isinstance(v, Path) else v)
+                   for k, v in vars(args).items() if k != "func"},
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "numpy_version": numpy.__version__,
+        "scipy_version": scipy.__version__,
+    }
 
 
-def _out_dir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_trace(args, argv):
+def cmd_trace(args):
     from .estimators import prepare_trace
 
     M = _load_operand(args)
@@ -150,16 +140,12 @@ def cmd_trace(args, argv):
                             seed=args.seed)(args.t)
               for method in args.method]
     rows = [(float(t), sweep[k]) for k, t in enumerate(args.t) for sweep in sweeps]
-    out = _out_dir(args)
-    _write_json(out / "trace_estimates.json", [est.record(t=t) for t, est in rows])
-    _write_manifest(out, args, argv)
-    for t, est in rows:
-        print(f"t={t:.17g} method={est.method} value={est.value:.17g} "
-              f"std_error={est.std_error:.17g}")
-    return 0
+    return 0, {"trace_estimates.json": [est.record(t=t) for t, est in rows]}, [
+        f"t={t:.17g} method={est.method} value={est.value:.17g} "
+        f"std_error={est.std_error:.17g}" for t, est in rows]
 
 
-def cmd_interpolate(args, argv):
+def cmd_interpolate(args):
     import numpy as np
 
     from .estimators import prepare_trace
@@ -172,6 +158,10 @@ def cmd_interpolate(args, argv):
         fit_rational,
     )
 
+    ts = None if args.sweep is None else sweep_grid(args.sweep)
+    if args.variant == "rational" and len(args.nodes or ()) % 2:
+        raise InvalidShape(f"--variant rational needs an even number of --nodes, "
+                           f"got {len(args.nodes)}")
     M = _load_operand(args)
     ctx = compute_tau_context(M, method=args.method, n_v=args.nv,
                               degree=args.degree, seed=args.seed)
@@ -188,38 +178,29 @@ def cmd_interpolate(args, argv):
     else:
         interp = fit_basis(ctx, pts)  # empty nodes give the bound variant
 
-    out = _out_dir(args)
-    record = interp.record()
-    record["nodes"] = [float(t) for t in pts.ts]
-    record["node_values"] = [float(v) for v in pts.taus]
-    _write_json(out / "interpolant.json", record)
-
-    if args.sweep is not None:
-        ts = sweep_grid(args.sweep)
-        exact = np.array([est.value for est in prepare_trace(ctx.A, ctx.B)(ts)]) / ctx.trace_b_inv
-        approx = interp(ts)
-        _write_csv(out / "sweep.csv", ["t", "tau_exact", "tau_interp", "rel_error"],
-                   zip(ts.tolist(), exact.tolist(), approx.tolist(),
-                       (approx / exact - 1.0).tolist()))
+    record = {**interp.record(), "nodes": pts.ts.tolist(), "node_values": pts.taus.tolist()}
+    artifacts = {"interpolant.json": record}
+    if ts is not None:  # the exact curve, from the context's own back-end if that is exact
+        exact_ctx = (ctx if args.method == "cholesky"
+                     else replace(ctx, backend=prepare_trace(ctx.A, ctx.B)))
+        approx, exact = interp(ts), exact_ctx(ts)  # a t the fit refuses costs no trace
+        artifacts["sweep.csv"] = (["t", "tau_exact", "tau_interp", "rel_error"],
+                                  zip(ts.tolist(), exact.tolist(), approx.tolist(),
+                                      (approx / exact - 1.0).tolist()))
     failures = int(np.sum(np.abs(interp(pts.ts) / pts.taus - 1.0) > 1e-8))
-    _write_manifest(out, args, argv)
-    print(f"tau0={ctx.tau0:.17g} variant={record['variant']} p={interp.p} "
-          f"node_failures={failures}")
-    return 1 if failures else 0
+    return 1 if failures else 0, artifacts, [
+        f"tau0={ctx.tau0:.17g} variant={record['variant']} p={interp.p} "
+        f"node_failures={failures}"]
 
 
-def cmd_ortho(args, argv):
+def cmd_ortho(args):
     from .ortho import gram_schmidt
 
     coeffs = gram_schmidt(args.p)
-    out = _out_dir(args)
-    _write_json(out / "ortho_coefficients.json", coeffs.to_json())
-    _write_manifest(out, args, argv)
-    print(coeffs.table_text())
-    return 0
+    return 0, {"ortho_coefficients.json": coeffs.to_json()}, [coeffs.table_text()]
 
 
-def cmd_gp(args, argv):
+def cmd_gp(args):
     from .experiments import GP_DEFAULT_NODES, gp_experiment
 
     result = gp_experiment(side=args.side, rho=args.rho,
@@ -227,19 +208,14 @@ def cmd_gp(args, argv):
                            p_values=args.p, sweep=args.sweep,
                            sampling="random" if args.random_points else "grid",
                            seed=args.seed)
-    out = _out_dir(args)
-    header, rows = result.curve_rows()
-    _write_csv(out / "gp_curves.csv", header, rows)
-    _write_json(out / "gp_summary.json", result.summary())
-    _write_manifest(out, args, argv)
-    print(f"tau0={result.tau0:.17g}")
-    for p in sorted(result.interpolated):
-        print(f"p={p} max_rel_error={result.max_rel_error(p):.17g}")
-    return 1 if result.node_check_failures else 0
+    lines = [f"tau0={result.tau0:.17g}"]
+    lines += [f"p={p} max_rel_error={result.max_rel_error(p):.17g}"
+              for p in sorted(result.interpolated)]
+    return 1 if result.node_check_failures else 0, {
+        "gp_curves.csv": result.curve_rows(), "gp_summary.json": result.summary()}, lines
 
 
-def cmd_gcv(args, argv):
-    from .estimators import prepare_trace
+def cmd_gcv(args):
     from .experiments import (
         gcv_experiment,
         gcv_theta_grid,
@@ -265,33 +241,23 @@ def cmd_gcv(args, argv):
             row["error_vs_exact"] = relative_log_theta_error(
                 res.theta_star, exact[res.method].theta_star)
         rows.append(row)
-    out = _out_dir(args)
-    _write_json(out / "gcv_results.json", rows)
-
+    artifacts = {"gcv_results.json": rows}
     if args.curve_points > 0:
         thetas = gcv_theta_grid(problem, count=args.curve_points)
-        backend = prepare_trace(problem.shifted_gram)
-        v_exact = gcv_value(problem, thetas,
-                            lambda ts: [est.value / problem.m for est in backend(ts)])
-        _write_csv(out / "gcv_curve.csv", ["theta", "v_exact"],
-                   zip(thetas.tolist(), v_exact.tolist()))
-
-    _write_manifest(out, args, argv)
-    for mode, res in results:
-        print(f"mode={mode} method={res.method} log10_theta*={res.log10_theta_star:.6f} "
-              f"V={res.v_min:.17g} N_tr={res.n_tr} N_tot={res.n_tot}")
-    return 0
+        v_exact = gcv_value(problem, thetas, problem.tau_context())
+        artifacts["gcv_curve.csv"] = (["theta", "v_exact"],
+                                      zip(thetas.tolist(), v_exact.tolist()))
+    return 0, artifacts, [
+        f"mode={mode} method={res.method} log10_theta*={res.log10_theta_star:.6f} "
+        f"V={res.v_min:.17g} N_tr={res.n_tr} N_tot={res.n_tot}" for mode, res in results]
 
 
-def cmd_check(args, argv):
+def cmd_check(args):
     from .inequalities import check_inequality_suite
 
-    report = check_inequality_suite(args.trials, args.n, args.seed)
-    out = _out_dir(args)
-    _write_json(out / "inequality_report.json", report.to_json())
-    _write_manifest(out, args, argv)
-    print(json.dumps(report.to_json(), indent=2))
-    return 0 if report.passed else 1
+    report = check_inequality_suite(args.trials, args.n, args.seed).to_json()
+    return 0 if report["passed"] else 1, {"inequality_report.json": report}, [
+        json.dumps(report, indent=2)]
 
 
 def build_parser():
@@ -303,22 +269,24 @@ def build_parser():
                         help="BLAS thread count (default: all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"--out": dict(default="traceinv-out", help="output directory"),
-              "--seed": dict(type=int, default=0, help="master random seed")}
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default="traceinv-out", help="output directory")
+    common.add_argument("--seed", type=int, default=0, help="master random seed")
+    probes = argparse.ArgumentParser(add_help=False)
+    probes.add_argument("--nv", type=int, default=30)
+    probes.add_argument("--degree", type=int, default=30)
 
-    p_trace = sub.add_parser("trace", help="estimate trace((M + t*I)^-1) at given t")
+    p_trace = sub.add_parser("trace", parents=[common, probes],
+                             help="estimate trace((M + t*I)^-1) at given t")
     _add_matrix_options(p_trace)
     p_trace.add_argument("--t", type=_float_list, required=True, metavar="LIST")
     p_trace.add_argument("--method", default="cholesky",
                          type=_choice_list("cholesky", "eigen", "hutchinson", "slq"),
                          help="comma list from cholesky,eigen,hutchinson,slq")
-    p_trace.add_argument("--nv", type=int, default=30)
-    p_trace.add_argument("--degree", type=int, default=30)
-    for flag, kw in common.items():
-        p_trace.add_argument(flag, **kw)
     p_trace.set_defaults(func=cmd_trace)
 
-    p_interp = sub.add_parser("interpolate", help="fit an interpolant to tau(t)")
+    p_interp = sub.add_parser("interpolate", parents=[common, probes],
+                              help="fit an interpolant to tau(t)")
     _add_matrix_options(p_interp)
     p_interp.add_argument("--variant", choices=("bound", "basis", "rational"),
                           default="basis")
@@ -326,21 +294,16 @@ def build_parser():
     p_interp.add_argument("--nodes", type=_float_list, default=None, metavar="LIST")
     p_interp.add_argument("--method", default="cholesky",
                           choices=("cholesky", "eigen", "hutchinson", "slq"))
-    p_interp.add_argument("--nv", type=int, default=30)
-    p_interp.add_argument("--degree", type=int, default=30)
     p_interp.add_argument("--sweep", type=_parse_sweep, default=None,
                           metavar="MIN,MAX,COUNT[,log|lin]")
-    for flag, kw in common.items():
-        p_interp.add_argument(flag, **kw)
     p_interp.set_defaults(func=cmd_interpolate)
 
-    p_ortho = sub.add_parser("ortho", help="emit orthonormal basis coefficients")
+    p_ortho = sub.add_parser("ortho", parents=[common],
+                             help="emit orthonormal basis coefficients")
     p_ortho.add_argument("--p", type=int, default=9)
-    for flag, kw in common.items():
-        p_ortho.add_argument(flag, **kw)
     p_ortho.set_defaults(func=cmd_ortho)
 
-    p_gp = sub.add_parser("gp-experiment",
+    p_gp = sub.add_parser("gp-experiment", parents=[common],
                           help="kernel-matrix interpolation study with bounds")
     p_gp.add_argument("--side", type=int, default=50)
     p_gp.add_argument("--rho", type=float, default=0.1)
@@ -350,11 +313,9 @@ def build_parser():
     p_gp.add_argument("--sweep", type=_parse_sweep, default=(1e-4, 1e3, 100, "log"),
                       metavar="MIN,MAX,COUNT[,log|lin]")
     p_gp.add_argument("--random-points", action="store_true")
-    for flag, kw in common.items():
-        p_gp.add_argument(flag, **kw)
     p_gp.set_defaults(func=cmd_gp)
 
-    p_gcv = sub.add_parser("gcv-experiment",
+    p_gcv = sub.add_parser("gcv-experiment", parents=[common, probes],
                            help="ridge regularization search by GCV")
     p_gcv.add_argument("--n", type=int, default=1000)
     p_gcv.add_argument("--m", type=int, default=500)
@@ -366,24 +327,18 @@ def build_parser():
     p_gcv.add_argument("--method", default="cholesky",
                        type=_choice_list("cholesky", "hutchinson", "slq"),
                        help="comma list from cholesky,hutchinson,slq")
-    p_gcv.add_argument("--nv", type=int, default=30)
-    p_gcv.add_argument("--degree", type=int, default=30)
     p_gcv.add_argument("--de-seed", type=int, default=0)
     p_gcv.add_argument("--max-generations", type=_int_at_least(0), default=200,
                        help="optimizer budget; the search stops earlier once the "
                             "population's scores agree")
     p_gcv.add_argument("--curve-points", type=_int_at_least(0), default=0,
                        help="also emit a V(theta) curve with this many points")
-    for flag, kw in common.items():
-        p_gcv.add_argument(flag, **kw)
     p_gcv.set_defaults(func=cmd_gcv)
 
-    p_check = sub.add_parser("check-inequalities",
+    p_check = sub.add_parser("check-inequalities", parents=[common],
                              help="randomized verification of the trace inequalities")
     p_check.add_argument("--trials", type=int, default=1000)
     p_check.add_argument("--n", type=int, default=20)
-    for flag, kw in common.items():
-        p_check.add_argument(flag, **kw)
     p_check.set_defaults(func=cmd_check)
     return parser
 
@@ -397,10 +352,17 @@ def main(argv=None):
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(args.threads)
     try:
-        return args.func(args, argv)
+        code, artifacts, lines = args.func(args)
     except TraceInvError as exc:  # refused input: one line and argparse's usage code
         print(f"traceinv: error: {exc}", file=sys.stderr)
         return 2
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in {**artifacts, "manifest.json": _manifest(args, argv)}.items():
+        _write(out / name, data)
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -59,7 +59,11 @@ def sweep_grid(sweep):
     """The shifts of ``sweep = (min, max, count[, "log" | "lin"])``, log-spaced by default."""
     lo, hi, count, *spacing = sweep
     count = checked_count("sweep count", count)
-    if spacing in ([], ["log"]):
+    log = spacing in ([], ["log"])
+    if not (np.all(np.isfinite([lo, hi])) and (min(lo, hi) > 0.0 or not log)):
+        raise InvalidShape(f"sweep bounds must be finite, and positive if log-spaced; "
+                           f"got {lo}, {hi}")
+    if log:
         return np.logspace(np.log10(lo), np.log10(hi), count)
     if spacing == ["lin"]:
         return np.linspace(lo, hi, count)
@@ -140,7 +144,7 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     n = K.n
     ctx = compute_tau_context(K)
 
-    tau_exact = np.array([e.value for e in ctx.backend(ts)]) / n
+    tau_exact = ctx(ts)
     upper = tau_upper_bound(ts, ctx.tau0)
     lower = tau_lower_bound(ts, K.trace(), float(n), n) / n  # unit diagonal: 1/(1+t)
 

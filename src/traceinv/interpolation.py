@@ -17,7 +17,7 @@ rational function of degree p over p+1 held as a positive sum of p+1 poles
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -60,6 +60,17 @@ class TauContext:
         if self.t_min is not None and self.t_min >= 0.0:
             raise InvalidShape("t_min must be negative when supplied")
 
+    def __call__(self, t):
+        """tau at a scalar t (a float) or an array of t (same shape), from ``backend``.
+
+        The one reader of back-end values: each is divided by trace(B^-1) here.
+        """
+        if self.backend is None:
+            raise InvalidShape("context has no trace back-end; build it with compute_tau_context")
+        t = np.asarray(t, dtype=float)
+        taus = np.array([e.value for e in self.backend(t.ravel())]) / self.trace_b_inv
+        return float(taus[0]) if t.ndim == 0 else taus.reshape(t.shape)
+
 
 def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky",
                         n_v=30, degree=30, seed=0, t_min=None) -> TauContext:
@@ -68,9 +79,9 @@ def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="choles
     B = None means B = I; trace(B^-1) comes from the back-end. t_min is kept only if given.
     """
     backend = prepare_trace(A, B, method=method, n_v=n_v, degree=degree, seed=seed)
-    (trace_a_inv,) = backend([0.0])
-    return TauContext(A=A, B=B, tau0=trace_a_inv.value / backend.trace_b_inv,
-                      trace_b_inv=backend.trace_b_inv, n=A.n, t_min=t_min, backend=backend)
+    ctx = TauContext(A=A, B=B, tau0=1.0, trace_b_inv=backend.trace_b_inv, n=A.n,
+                     t_min=t_min, backend=backend)
+    return replace(ctx, tau0=ctx(0.0))  # tau0 = 1 holds the place until ctx reads tau(0)
 
 
 @dataclass(frozen=True)
@@ -112,11 +123,8 @@ class InterpolantPoints:
 
 def compute_tau_at_nodes(ctx: TauContext, ts) -> InterpolantPoints:
     """Evaluate tau at each node with the back-end that produced ctx.tau0."""
-    if ctx.backend is None:
-        raise InvalidShape("context has no trace back-end; build it with compute_tau_context")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    taus = np.array([e.value for e in ctx.backend(ts)]) / ctx.trace_b_inv
-    return InterpolantPoints(ts=ts, taus=taus)
+    return InterpolantPoints(ts=ts, taus=ctx(ts))
 
 
 def tau_upper_bound(t, tau0):

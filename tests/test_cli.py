@@ -251,6 +251,32 @@ def test_empty_or_invalid_sweep_refused(tmp_path, capsys, sweep):
     assert not (tmp_path / "o").exists()
 
 
+def test_refused_run_leaves_earlier_output(tmp_path, capsys):
+    # the refusal came after interpolant.json was written, beside the earlier manifest
+    out = tmp_path / "o"
+    assert main(["interpolate", "--kernel", "8,0.1", "--p", "2", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    code = main(["interpolate", "--kernel", "8,0.1", "--p", "3", "--sweep=-5,1,5,lin",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("traceinv: error: ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--variant", "rational", "--nodes", "1,2,3"],
+     "--variant rational needs an even number of --nodes, got 3"),
+    (["--sweep=nan,1,5,lin"], "sweep bounds must be finite, and positive if log-spaced")],
+    ids=["odd-rational-nodes", "nan-sweep"])
+def test_interpolate_refused_before_any_trace(tmp_path, capsys, cholesky_calls, argv, message):
+    # three traces ran before the odd node count was refused
+    code = main(["interpolate", "--kernel", "20,0.1", *argv, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert cholesky_calls == []
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["interpolate", "--kernel", "4,0.1", "--variant", "rational", "--p", "-1"],
      "--p: must be at least 0, got -1"),

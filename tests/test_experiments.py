@@ -131,6 +131,17 @@ class TestGpExperiment:
         with pytest.raises(InvalidShape, match="sweep count"):
             gp_experiment(side=4, sweep=(1e-2, 1.0, count))
 
+    @pytest.mark.parametrize("sweep", [(0.0, 1.0, 5), (1e-2, -1.0, 5, "log"),
+                                       (np.nan, 1.0, 5, "lin"), (1.0, np.inf, 3, "lin"),
+                                       (np.inf, 1e3, 3)])
+    def test_sweep_bounds_refused(self, monkeypatch, sweep):
+        # log spacing from 0 made NaN shifts, refused only after the kernel and tau0
+        with pytest.raises(InvalidShape, match="finite, and positive if log-spaced"):
+            sweep_grid(sweep)
+        monkeypatch.setattr(traceinv.experiments, "build_exponential_kernel", None)
+        with pytest.raises(InvalidShape, match="finite, and positive if log-spaced"):
+            gp_experiment(side=4, sweep=sweep)
+
     def test_sweep_grid_spacing(self):
         # three elements log-space as before; a fourth picks the spacing
         log = np.logspace(np.log10(1e-2), np.log10(1.0), 5)

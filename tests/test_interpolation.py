@@ -24,6 +24,7 @@ from traceinv import (
     fit_rational,
     gram_schmidt,
     prepare_trace,
+    shifted_operand,
     tau_lower_bound,
     tau_upper_bound,
     trace_inv_exact_cholesky,
@@ -153,6 +154,21 @@ class TestTauContext:
                          tau0=1.0, trace_b_inv=2.0, n=2)
         with pytest.raises(InvalidShape, match="no trace back-end"):
             compute_tau_at_nodes(ctx, [0.1, 1.0])
+        with pytest.raises(InvalidShape, match="no trace back-end"):
+            ctx(0.1)
+
+    def test_call_reads_the_back_end(self, rng, cholesky_calls):
+        # a scalar gives a float, an array keeps its shape, and each value is the exact
+        # trace over n bit for bit; a shift seen before is not factored again
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.5, 5.0, 7))
+        ctx = compute_tau_context(A)
+        ts = np.array([[0.1, 1.0, 10.0], [0.0, 0.1, 3.0]])
+        scalar, grid = ctx(1.0), ctx(ts)
+        assert cholesky_calls == [7] * 5  # 0 (tau0), 1, 0.1, 10 and 3, each once
+        assert type(scalar) is float and grid.shape == (2, 3)
+        for t, value in zip([1.0, *ts.ravel()], [scalar, *grid.ravel()]):
+            expected = trace_inv_exact_cholesky(shifted_operand(A, None, t)).value / 7
+            assert value.hex() == expected.hex()
 
     def test_t_min_sign_check(self):
         A = SpdMatrix.identity(2)
