@@ -180,9 +180,8 @@ def cmd_interpolate(args):
 
     record = {**interp.record(), "nodes": pts.ts.tolist(), "node_values": pts.taus.tolist()}
     artifacts = {"interpolant.json": record}
-    if ts is not None:  # the exact curve, from the context's own back-end if that is exact
-        exact_ctx = (ctx if args.method == "cholesky"
-                     else replace(ctx, backend=prepare_trace(ctx.A, ctx.B)))
+    if ts is not None:  # the exact curve: the context with a Cholesky back-end
+        exact_ctx = replace(ctx, backend=prepare_trace(ctx.A, ctx.B))
         approx, exact = interp(ts), exact_ctx(ts)  # a t the fit refuses costs no trace
         artifacts["sweep.csv"] = (["t", "tau_exact", "tau_interp", "rel_error"],
                                   zip(ts.tolist(), exact.tolist(), approx.tolist(),

@@ -17,7 +17,7 @@ rational function of degree p over p+1 held as a positive sum of p+1 poles
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -61,15 +61,17 @@ class TauContext:
             raise InvalidShape("t_min must be negative when supplied")
 
     def __call__(self, t):
-        """tau at a scalar t (a float) or an array of t (same shape), from ``backend``.
-
-        The one reader of back-end values: each is divided by trace(B^-1) here.
-        """
+        """tau at a scalar t (a float) or an array of t (same shape), from ``backend``."""
         if self.backend is None:
             raise InvalidShape("context has no trace back-end; build it with compute_tau_context")
-        t = np.asarray(t, dtype=float)
-        taus = np.array([e.value for e in self.backend(t.ravel())]) / self.trace_b_inv
-        return float(taus[0]) if t.ndim == 0 else taus.reshape(t.shape)
+        return _read_tau(self.backend, self.trace_b_inv, t)
+
+
+def _read_tau(backend, trace_b_inv, t):
+    """The one reader of back-end values: each is divided by trace(B^-1) here."""
+    t = np.asarray(t, dtype=float)
+    taus = np.array([e.value for e in backend(t.ravel())]) / trace_b_inv
+    return float(taus[0]) if t.ndim == 0 else taus.reshape(t.shape)
 
 
 def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="cholesky",
@@ -79,9 +81,8 @@ def compute_tau_context(A: SpdMatrix, B: SpdMatrix | None = None, method="choles
     B = None means B = I; trace(B^-1) comes from the back-end. t_min is kept only if given.
     """
     backend = prepare_trace(A, B, method=method, n_v=n_v, degree=degree, seed=seed)
-    ctx = TauContext(A=A, B=B, tau0=1.0, trace_b_inv=backend.trace_b_inv, n=A.n,
-                     t_min=t_min, backend=backend)
-    return replace(ctx, tau0=ctx(0.0))  # tau0 = 1 holds the place until ctx reads tau(0)
+    return TauContext(A=A, B=B, tau0=_read_tau(backend, backend.trace_b_inv, 0.0),
+                      trace_b_inv=backend.trace_b_inv, n=A.n, t_min=t_min, backend=backend)
 
 
 @dataclass(frozen=True)
