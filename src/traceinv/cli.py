@@ -142,7 +142,8 @@ def cmd_trace(args):
     rows = [(float(t), sweep[k]) for k, t in enumerate(args.t) for sweep in sweeps]
     return 0, {"trace_estimates.json": [est.record(t=t) for t, est in rows]}, [
         f"t={t:.17g} method={est.method} value={est.value:.17g} "
-        f"std_error={est.std_error:.17g}" for t, est in rows]
+        f"std_error={est.std_error:.17g} bias_bound="
+        + ("none" if est.bias_bound is None else f"{est.bias_bound:.17g}") for t, est in rows]
 
 
 def cmd_interpolate(args):

@@ -12,21 +12,25 @@ one master seed, so results are reproducible and independent of processing order
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 
 from .exceptions import InvalidShape, NotPositiveDefinite
 from .matrices import (PIVOT_RTOL, SpdMatrix, checked_count, checked_orders, checked_shift,
-                       _packed, cholesky, forward_solve, inverse_factor, lapack_map)
+                       _packed, cholesky, forward_solve, inverse_factor, lapack_map,
+                       lapack_threads)
 
 LANCZOS_BREAKDOWN_RTOL = 1e-13
-# SLQ stops a probe block once every probe's Gauss-Radau bracket is at most this fraction of
-# the estimate's standard error, which bounds the bias it leaves at 0.1 SE (a 1% larger MSE).
-RADAU_SE_FRACTION = 0.1
+# SLQ stops a probe block once every probe's certified gap is at most this fraction of the
+# estimate's standard error, which bounds the bias it leaves at 0.1 SE (a 1% larger MSE).
+BRACKET_SE_FRACTION = 0.1
 PROBE_BLOCK = 64  # probes per block, so the Lanczos basis stays O(degree * n) whatever n_v is
+_dgemm = scipy.linalg.blas.dgemm
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,8 @@ class TraceEstimate:
     n_v: int = 0
     std_error: float = 0.0
     seed: int | None = None
-    degree: int = 0  # the most Lanczos steps any probe took; 0 for exact and Hutchinson
+    degree: int = 0  # the most Lanczos block steps any probe took; 0 for exact and Hutchinson
+    bias_bound: float | None = None  # SLQ's mean certified gap; None where no node is certified
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -62,21 +67,18 @@ class TraceEstimate:
             "std_error": None if np.isnan(self.std_error) else self.std_error,
             "seed": self.seed,
             "degree": self.degree,
+            "bias_bound": self.bias_bound,
         }
 
 
 @dataclass(frozen=True)
 class LanczosTriDiag:
-    """Tridiagonal output of the Lanczos recurrence."""
+    """One block Lanczos run (``lanczos``): its block tridiagonal and each column's Gauss rule."""
 
-    alpha: np.ndarray = field(repr=False)
-    beta: np.ndarray = field(repr=False)
-    steps: object  # steps of each column (an int for one start vector); zeros past them
-
-    @property
-    def degree(self):
-        """Steps of the longest recurrence, read as the work of one call."""
-        return self.alpha.shape[0]
+    bands: np.ndarray = field(repr=False)  # T_k in lower band storage: T[i, j] at [i - j, j]
+    gauss: np.ndarray = field(repr=False)  # each column's Gauss value g_i
+    gap: np.ndarray | None = field(repr=False)  # each g_i's certified gap; None with no node
+    degree: int  # block steps taken, read as the work of one call
 
 
 @dataclass(frozen=True)
@@ -176,12 +178,13 @@ def _probe_blocks(n, n_v, seed):
                                - 1.0 for k in part])
 
 
-def _sample_mean(samples, method, seed, degree=0) -> TraceEstimate:
+def _sample_mean(samples, method, seed, degree=0, bias_bound=None) -> TraceEstimate:
     """Mean of per-probe samples with its standard error (nan for one sample)."""
     n_v = samples.size
     std_error = float(np.std(samples, ddof=1) / np.sqrt(n_v)) if n_v > 1 else float("nan")
     return TraceEstimate(value=float(np.mean(samples)), method=method, n_v=n_v,
-                         std_error=std_error, seed=int(seed), degree=degree)
+                         std_error=std_error, seed=int(seed), degree=degree,
+                         bias_bound=bias_bound)
 
 
 def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
@@ -197,133 +200,119 @@ def trace_inv_hutchinson(M: SpdMatrix, n_v, seed) -> TraceEstimate:
     return _sample_mean(samples, "hutchinson", seed)
 
 
-class _Bracket(NamedTuple):
-    """One step's Gauss and Gauss-Radau values, with the LDL^T pivots that carry them on."""
-
-    d: np.ndarray  # last pivot of T_k
-    e: np.ndarray  # last pivot of T_k - aI
-    c2: np.ndarray  # squared entry k + 1 of L^-1 e1, for the next step
-    gauss: np.ndarray  # g_k = e1^T T_k^-1 e1
-    radau: np.ndarray  # r_k
-    ok: np.ndarray  # every pivot of T_j - aI and every d_R so far was positive
-
-
-def _gauss_radau(prev, alpha, beta, beta_next, a) -> _Bracket:
-    """Step k of the bracket g_k <= e1^T M^-1 e1 <= r_k, elementwise over columns, in O(1).
-
-    T_k is the Lanczos tridiagonal after step k: ``alpha`` is its last diagonal entry, ``beta``
-    couples it to step k - 1 (0 at the first step, where ``prev`` is None) and ``beta_next``
-    is the coefficient the next step would use. With the pivots d_k of T_k and e_k of T_k - aI,
-    g_k = g_{k-1} + c_k^2 / d_k, where c_1 = 1 and c_{k+1} = c_k beta_next / d_k. The
-    Gauss-Radau rule with the prescribed node a extends T_k by beta_next and the diagonal entry
-    omega = a + beta_next^2 / e_k, whose last pivot is d_R = omega - beta_next^2 / d_k, so
-    r_k = g_k + c_{k+1}^2 / d_R. For a <= lambda_min(M) every e_k and d_R is positive and
-    g_k <= z^T M^-1 z / |z|^2 <= r_k for the start vector z (Golub & Meurant 1994).
-    """
-    d, e, c2, gauss, _, ok = prev if prev is not None else (1.0, 1.0, 1.0, 0.0, 0.0, True)
-    d, e = alpha - beta**2 / d, alpha - a - beta**2 / e
-    gauss = gauss + c2 / d
-    c2 = c2 * (beta_next / d) ** 2
-    d_radau = a + beta_next**2 / e - beta_next**2 / d
-    return _Bracket(d, e, c2, gauss, gauss + c2 / d_radau, ok & (e > 0.0) & (d_radau > 0.0))
+def _deflated_qr(W, tol, room, basis=None):
+    """(Q, R) with W = Q R, Q orthonormal (n, r) and R (r, columns), up to the directions a
+    pivoted QR of W (LAPACK dgeqp3) finds below tol; at most ``room`` are kept. W is
+    overwritten. Given the kept orthonormal basis, to which W was made orthogonal once, the
+    kept directions are made orthogonal to it again and normalized by a plain QR (block
+    Gram-Schmidt twice with a QR between, BCGS2): a direction the pivoted QR finds small is
+    a sum of larger columns, and only a pass on the normalized direction makes it orthogonal
+    to working precision. The QR of b columns has O(n b^2) work and runs on one BLAS thread,
+    like order b's (n = 2500, b = 30, 2 cores: 1.4 ms on one thread, 2.7 ms on two)."""
+    with lapack_threads(W.shape[1]):
+        Q, R, perm = scipy.linalg.qr(W, overwrite_a=True, mode="economic", pivoting=True,
+                                     check_finite=False)
+    rank = min(int(np.count_nonzero(np.abs(np.diag(R)) >= tol)), room)
+    Q, R = Q[:, :rank], R[:rank, np.argsort(perm)]
+    if basis is None or not rank:
+        return Q, R
+    Q = _dgemm(-1.0, basis, _dgemm(1.0, basis, Q, trans_a=1), 1.0, Q, overwrite_c=1)
+    with lapack_threads(rank):
+        Q, S = scipy.linalg.qr(Q, overwrite_a=True, mode="economic", check_finite=False)
+    return Q, _dgemm(1.0, S, R)
 
 
 def lanczos(M: SpdMatrix, v0, degree, se_fraction=None) -> LanczosTriDiag:
-    """Lanczos tridiagonalization with full reorthogonalization.
+    """Block Lanczos with full reorthogonalization from the start block Z = ``v0`` (n, b); a
+    vector (n,) is the block b = 1. It carries each column's block Gauss rule (Golub & Meurant
+    1994) over the span of every column's Krylov vectors, and runs at most ``degree`` steps.
 
-    ``v0`` is one start vector (n,) or a block (n, b) with one recurrence
-    per column (not block Lanczos); each step makes one product with M.
-    A column stops (graceful truncation) when its off-diagonal coefficient
-    falls below LANCZOS_BREAKDOWN_RTOL times a cheap norm estimate of M,
-    i.e. at an invariant subspace; its later entries are zero.
-
-    Given ``se_fraction``, a block of two or more columns on an operand that certifies its
-    stored part PSD (``SpdMatrix.psd``) and carries a shift a > 0, so a <= lambda_min(M),
-    takes a as the Gauss-Radau node: each column carries its bracket (``_gauss_radau``), and
-    the block stops before the product of a step once every column's r_k - g_k is at most
-    ``se_fraction`` times the sample standard deviation of the columns' g_k, and every pivot
-    of the bracket is positive. Otherwise, and with ``se_fraction=None``, ``degree`` steps
-    are run, as they would be with a node whose bracket never closes.
+    Z = Q_1 R_1 and each step's residual block W = Q_{k+1} B_{k+1} come from ``_deflated_qr``,
+    which drops directions below LANCZOS_BREAKDOWN_RTOL (times |Z| or M's largest entry), so
+    n_v > n and invariant subspaces deflate; an empty block ends the run. A step makes one
+    product M Q_k, one pass of block Gram-Schmidt against the kept basis (A_k is its last
+    block), ``_deflated_qr``'s second pass and O(b^3) updates of the block LDL^T pivots
+    D_k = A_k - B_k D_{k-1}^-1 B_k^T of T_k, with C_1 = R_1 and C_{k+1} = B_{k+1} D_k^-1 C_k:
+    the Gauss value g_i = [R_1^T E_1^T T_k^-1 E_1 R_1]_ii grows by [C_k^T D_k^-1 C_k]_ii, and
+    z_i - M x_i for its Galerkin solution x_i has norm |C_{k+1} e_i|. Where ``M.psd`` certifies
+    the shift a > 0 as a lower bound on the spectrum, gap_i = |C_{k+1} e_i|^2 / a bounds the
+    energy error z_i^T M^-1 z_i - g_i, and given ``se_fraction`` a block of two or more columns
+    stops once every gap_i is at most ``se_fraction`` times the sample standard deviation of
+    the g_i.
+    Every BLAS-3 and QR call is scipy's, the BLAS ``matrices.lapack_threads`` switches.
     """
     degree = checked_count("degree", degree)
-    v0 = np.asarray(v0, dtype=float)
-    V = v0.reshape(v0.shape[0], -1).T  # one row per recurrence
-    norms = np.linalg.norm(V, axis=1)
+    Z = np.asarray(v0, dtype=float)
+    Z = np.array(Z.reshape(Z.shape[0], -1), order="F")
+    norms = np.linalg.norm(Z, axis=0)
     if np.any(norms == 0.0):
         raise InvalidShape("start vector must be nonzero")
+    (n, b), node = Z.shape, M.shift if M.psd and M.shift > 0.0 else None
     breakdown = LANCZOS_BREAKDOWN_RTOL * max(M.entry_norm(), 1e-300)
-    b, n = V.shape
-    degree = min(degree, n)
-    certified = se_fraction is not None and b > 1 and M.psd and M.shift > 0.0
-    node = M.shift if certified else None
-    Q = np.zeros((b, degree, n))
-    alpha, beta = np.zeros((2, degree, b))  # beta[k] couples steps k-1 and k; beta[0] = 0
-    q = V / norms[:, None]
-    live, bracket = np.ones(b, dtype=bool), None
-    k = 0
-    while k < degree:
-        if k:
-            # full reorthogonalization of every column against its own basis
-            coeffs = np.matmul(Q[:, :k], r[:, :, None])
-            r -= np.matmul(coeffs.transpose(0, 2, 1), Q[:, :k])[:, 0]
-            beta[k] = np.linalg.norm(r, axis=1)
-            ran, live = live, beta[k] >= breakdown  # a stopped column keeps r = 0, stays stopped
-            if not live.any():
-                break
-            beta[k, ~live] = 0.0
-            if node is not None:
-                with np.errstate(divide="ignore", invalid="ignore"):  # in columns that stopped
-                    step = _gauss_radau(bracket, alpha[k - 1], beta[k - 1], beta[k], node)
-                # a stopped column keeps the bracket of its last step, closed (beta_next = 0)
-                bracket = step if bracket is None else _Bracket(
-                    *(np.where(ran, new, old) for new, old in zip(step, bracket)))
-                gap, spread = bracket.radau - bracket.gauss, np.std(bracket.gauss, ddof=1)
-                if bracket.ok.all() and np.all(gap <= se_fraction * spread):
-                    break
-            q = r / np.where(live, beta[k], np.inf)[:, None]
-        Q[:, k] = q
-        u = M.matvec(q.T).T
-        alpha[k] = np.einsum("ij,ij->i", q, u)
-        r = u - alpha[k][:, None] * q - beta[k][:, None] * Q[:, k - 1]
-        k += 1
-    alpha, beta = alpha[:k], beta[1:k]
-    steps = 1 + np.count_nonzero(beta, axis=0)  # live coefficients are >= breakdown > 0
-    if v0.ndim == 1:
-        return LanczosTriDiag(alpha=alpha[:, 0], beta=beta[:, 0], steps=int(steps[0]))
-    return LanczosTriDiag(alpha=alpha, beta=beta, steps=steps)
+    V = np.empty((n, min(degree * b, n)), order="F")  # written only as far as the steps run
+    bands = np.zeros((2 * b, V.shape[1]))  # T_k[i, j] at bands[i - j, j]: bandwidth < 2b
+    Q, C = _deflated_qr(Z, LANCZOS_BREAKDOWN_RTOL * norms.max(), n)
+    gauss, gap, used = np.zeros(b), None, 0
+    for k in range(1, degree + 1):
+        basis, r = V[:, :used + Q.shape[1]], Q.shape[1]
+        basis[:, used:] = Q
+        U = M.matvec(basis[:, used:])
+        H = _dgemm(1.0, basis, U, trans_a=1)
+        A = (H[used:] + H[used:].T) / 2.0
+        D = A if k == 1 else A - _dgemm(1.0, B, DB)  # B = B_k, DB = D_{k-1}^-1 B_k^T
+        Q, B = _deflated_qr(_dgemm(-1.0, basis, H, 1.0, U, overwrite_c=1), breakdown,
+                            n - used - r, basis)
+        _, X, info = scipy.linalg.lapack.dposv(D, np.hstack([C, B.T]))
+        if info:
+            raise NotPositiveDefinite(f"block pivot {k} of the Lanczos matrix is not positive "
+                                      "definite; operand is numerically indefinite")
+        gauss += np.sum(C * X[:, :b], axis=0)
+        C, DB = _dgemm(1.0, B, X[:, :b]), X[:, b:]
+        rows, cols = np.tril_indices(r + len(B), 0, r)
+        bands[rows - cols, used + cols] = np.vstack([A, B])[rows, cols]
+        used += r
+        if node is not None:
+            gap = np.sum(C * C, axis=0) / node
+        if not len(B) or (gap is not None and se_fraction is not None and b > 1
+                          and np.all(gap <= se_fraction * np.std(gauss, ddof=1))):
+            break
+    return LanczosTriDiag(bands=bands[:, :used], gauss=gauss, gap=gap, degree=k)
 
 
 def trace_inv_slq(M: SpdMatrix, n_v, degree, seed) -> TraceEstimate:
     """Stochastic Lanczos quadrature estimate of trace(M^-1), ``degree`` a cap on its steps.
 
-    The recurrences read M in place, its shift included, so a B = I shift
-    from ``shifted_operand`` is never added into a copy. Each Rademacher
-    probe is normalized to a unit start vector, and each probe block is one
-    ``lanczos`` call. The Gauss quadrature weights w_j are the
-    squared first components of each probe's tridiagonal eigenvectors, and
-    its estimate is n * sum_j w_j / theta_j. A quadrature node theta_j at or
-    below PIVOT_RTOL times M's largest entry signals a numerically indefinite
-    operand, the rule of the Cholesky pivot check.
+    Each probe block is one ``lanczos`` run, which reads M in place, its shift included (a
+    B = I shift from ``shifted_operand`` is never added into a copy), and each probe's sample
+    is its block Gauss value g_i <= z_i^T M^-1 z_i. A smallest Ritz value (one ``eig_banded``
+    on the block tridiagonal) at or below PIVOT_RTOL times M's largest entry signals a
+    numerically indefinite operand, the rule of the Cholesky pivot check.
 
-    When M certifies its stored part PSD (``SpdMatrix.psd``) and carries a shift a > 0, a is
-    a lower bound on its spectrum and the Gauss-Radau node: ``lanczos`` stops a block of two
-    or more probes once every probe's bracket n (r_k - g_k) is at most RADAU_SE_FRACTION
-    times the standard error s / sqrt(n_v), s the spread of the block's n g_k. Any other
-    operand runs to the cap.
+    Where M certifies a node (``SpdMatrix.psd`` and a shift a > 0), each probe's gap bounds
+    its bias: a block stops once every gap is at most BRACKET_SE_FRACTION times the standard
+    error s / sqrt(n_v), s the spread of the block's g_i, and ``bias_bound`` is the mean gap,
+    which bounds the estimate's bias. A call that ends at the cap with a bias bound above its
+    standard error warns. Any other operand runs to the cap and has no bias bound.
     """
     n_v = _probe_count(n_v, seed)
     degree = checked_count("degree", degree)
-    floor, samples, used = PIVOT_RTOL * M.entry_norm(), [], 0
+    floor, runs = PIVOT_RTOL * M.entry_norm(), []
     for Z in _probe_blocks(M.n, n_v, seed):
-        tri = lanczos(M, Z, degree, RADAU_SE_FRACTION / np.sqrt(n_v))
-        used = max(used, tri.degree)
-        for j, s in enumerate(tri.steps):
-            theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha[:s, j], tri.beta[:s - 1, j])
-            if np.min(theta) <= floor:
-                raise NotPositiveDefinite(f"quadrature node {np.min(theta):.3e} <= {floor:.3e}; "
-                                          "operand is numerically indefinite")
-            samples.append(M.n * float(np.sum(vecs[0, :] ** 2 / theta)))
-    return _sample_mean(np.array(samples), "slq", seed, used)
+        runs.append(run := lanczos(M, Z, degree, BRACKET_SE_FRACTION / np.sqrt(n_v)))
+        theta = scipy.linalg.eig_banded(run.bands, lower=True, eigvals_only=True, select="i",
+                                        select_range=(0, 0), check_finite=False)[0]
+        if theta <= floor:
+            raise NotPositiveDefinite(f"quadrature node {theta:.3e} <= {floor:.3e}; "
+                                      "operand is numerically indefinite")
+    used = max(run.degree for run in runs)
+    bias = None if runs[0].gap is None else float(np.mean(np.concatenate(
+        [run.gap for run in runs])))
+    est = _sample_mean(np.concatenate([run.gauss for run in runs]), "slq", seed, used, bias)
+    if used == degree and bias is not None and bias > est.std_error:
+        warnings.warn(f"SLQ at shift {M.shift:g} ran to its cap of {degree} steps with bias "
+                      f"bound {bias:.3g} above its standard error {est.std_error:.3g}",
+                      stacklevel=2)
+    return est
 
 
 def estimate_trace_inv(M: SpdMatrix, method="cholesky", n_v=30, degree=30, seed=0) -> TraceEstimate:

@@ -9,9 +9,9 @@ class NotPositiveDefinite(TraceInvError):
     """A matrix expected to be symmetric positive definite is not.
 
     Raised when a Cholesky pivot is non-positive (or below the pivot tolerance), or when
-    a quadrature node of a stochastic estimator comes out non-positive. For shifted
-    operands A + t*B this signals that t is at or below t_min, and for a
-    ``StieltjesSum`` that t is at or left of its first pole.
+    a quadrature node or Lanczos block pivot of a stochastic estimator comes out
+    non-positive. For shifted operands A + t*B this signals that t is at or below t_min,
+    and for a ``StieltjesSum`` that t is at or left of its first pole.
     """
 
 

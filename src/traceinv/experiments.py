@@ -29,10 +29,12 @@ from .exceptions import InvalidShape, TraceInvError
 from .interpolation import (
     InterpolantPoints,
     TauContext,
+    check_small_t,
     compute_tau_at_nodes,
     compute_tau_context,
     fit_basis,
     fit_rational,
+    small_t_floor,
     tau_lower_bound,
     tau_upper_bound,
 )
@@ -135,11 +137,15 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     ``sweep_grid(sweep)``; for each p a basis interpolant is fitted to p nodes and compared
     against the benchmark. Curve, tau0 and nodes share one back-end, so a shift that recurs
     among them is factored once. Node reproduction is checked to 1e-8 relative as a
-    built-in sanity gate.
+    built-in sanity gate. A sweep point below any p's small-t floor is refused before the
+    first trace.
     """
     if checked_count("side", side) ** 2 > 10**4:
         raise InvalidShape("side^2 is limited to 10^4 (desk scale)")
     ts = sweep_grid(sweep)
+    node_map = {p: select_nodes(nodes, p) for p in p_values}
+    for p_nodes in node_map.values():
+        check_small_t(ts, small_t_floor(p_nodes))
     K = build_exponential_kernel(sample_points(side, sampling, seed), rho)
     n = K.n
     ctx = compute_tau_context(K)
@@ -148,10 +154,9 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
     upper = tau_upper_bound(ts, ctx.tau0)
     lower = tau_lower_bound(ts, K.trace(), float(n), n) / n  # unit diagonal: 1/(1+t)
 
-    interpolated, rel_errors, node_map = {}, {}, {}
+    interpolated, rel_errors = {}, {}
     node_failures = 0
-    for p in p_values:
-        p_nodes = select_nodes(nodes, p)
+    for p, p_nodes in node_map.items():
         pts = compute_tau_at_nodes(ctx, p_nodes)
         interp = fit_basis(ctx, pts)
         at_nodes = interp(pts.ts)
@@ -159,7 +164,6 @@ def gp_experiment(side=50, rho=0.1, nodes=GP_DEFAULT_NODES, p_values=(1, 9),
         values = interp(ts)
         interpolated[p] = values
         rel_errors[p] = values / tau_exact - 1.0
-        node_map[p] = p_nodes
     return GpExperimentResult(side=side, rho=rho, tau0=ctx.tau0, ts=ts,
                               tau_exact=tau_exact, tau_upper=upper, tau_lower=lower,
                               interpolated=interpolated, rel_errors=rel_errors,

@@ -235,11 +235,23 @@ def fit_basis(ctx: TauContext, pts: InterpolantPoints) -> BasisFit:
     if residual > FIT_RESIDUAL_WARN:
         warnings.warn(f"basis fit residual {residual:.2e} is large; "
                       "the node set may be nearly degenerate", stacklevel=2)
-    # The floor is shrunk by a hair so sweeps that start exactly at the
-    # floor (e.g. powers of ten) are not refused by float rounding.
-    floor = SMALL_T_FLOOR_FACTOR * float(np.min(pts.ts)) * (1.0 - 1e-9)
     return BasisFit(tau0=ctx.tau0, weights=tuple(weights), scale=scale, ortho=coeffs,
-                    small_t_floor=floor, fit_residual=residual)
+                    small_t_floor=small_t_floor(pts.ts), fit_residual=residual)
+
+
+def small_t_floor(nodes):
+    """SMALL_T_FLOOR_FACTOR times the smallest node (0 with none), below which a basis fit on
+    these nodes refuses a positive t. It is shrunk by a hair so sweeps that start exactly at
+    the floor (e.g. powers of ten) are not refused by float rounding."""
+    return SMALL_T_FLOOR_FACTOR * float(np.min(nodes)) * (1.0 - 1e-9) if len(nodes) else 0.0
+
+
+def check_small_t(t, floor):
+    """InvalidShape if a positive t lies below ``floor`` (``small_t_floor``)."""
+    too_small = (t > 0.0) & (t < floor)
+    if np.any(too_small):
+        raise InvalidShape(f"t={t[too_small].min():.3e} is below the small-t floor "
+                           f"{floor:.3e} where the basis family oscillates")
 
 
 def eval_basis(interp: BasisFit, t):
@@ -257,10 +269,7 @@ def eval_basis(interp: BasisFit, t):
     if not interp.weights:
         result = tau_upper_bound(t, interp.tau0)
         return float(result[0]) if scalar else result
-    too_small = (t > 0.0) & (t < interp.small_t_floor)
-    if np.any(too_small):
-        raise InvalidShape(f"t={t[too_small].min():.3e} is below the small-t floor "
-                           f"{interp.small_t_floor:.3e} where the basis family oscillates")
+    check_small_t(t, interp.small_t_floor)
     inv_tau = 1.0 / interp.tau0 + t
     x = t / interp.scale
     for j, w in enumerate(interp.weights, start=1):

@@ -5,6 +5,8 @@ import re
 import sys
 import threading
 import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from traceinv import (
     trace_inv_hutchinson,
     trace_inv_slq,
 )
-from traceinv.estimators import RADAU_SE_FRACTION, _gauss_radau, lanczos, trace_inv_exact_eigen
+from traceinv.estimators import BRACKET_SE_FRACTION, lanczos, trace_inv_exact_eigen
 from traceinv.experiments import make_gcv_problem
 from traceinv.matrices import build_exponential_kernel, cholesky, grid_points, inverse_factor
 
@@ -253,39 +255,13 @@ class TestHutchinson:
             trace_inv_hutchinson(SpdMatrix.identity(3), n_v=0, seed=0)
 
 
-class TestLanczos:
-    def test_scaled_identity_truncates_to_degree_one(self):
-        tri = lanczos(SpdMatrix.from_dense(3.0 * np.eye(6)), np.ones(6), degree=5)
-        assert tri.degree == 1
-        # perfbench's tracer reads .degree as the number of steps a call ran
-        assert tri.steps == tri.degree
-        np.testing.assert_allclose(tri.alpha, [3.0])
-        assert tri.beta.size == 0
-
-    def test_two_by_two_by_hand(self):
-        M = SpdMatrix.from_dense(np.diag([1.0, 2.0]))
-        v0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        tri = lanczos(M, v0, degree=2)
-        np.testing.assert_allclose(tri.alpha, [1.5, 1.5], rtol=1e-14)
-        np.testing.assert_allclose(tri.beta, [0.5], rtol=1e-13)
-
-    def test_full_degree_recovers_spectrum(self, rng):
-        n = 50
-        lam = np.sort(rng.uniform(0.5, 10.0, n))
-        M, _ = spd_from_eigenvalues(rng, lam)
-        tri = lanczos(M, rng.standard_normal(n), degree=n)
-        assert tri.degree == n
-        theta = scipy.linalg.eigh_tridiagonal(tri.alpha, tri.beta, eigvals_only=True)
-        np.testing.assert_allclose(np.sort(theta), lam, rtol=1e-8)
-
-    def test_beta_positive_until_breakdown(self, rng):
-        M, _ = spd_from_eigenvalues(rng, rng.uniform(1, 4, 20))
-        tri = lanczos(M, rng.standard_normal(20), degree=15)
-        assert np.all(tri.beta > 0)
-
-    def test_zero_start_vector_rejected(self):
-        with pytest.raises(InvalidShape):
-            lanczos(SpdMatrix.identity(4), np.zeros(4), degree=2)
+def tridiagonal(run):
+    """The run's block tridiagonal T_k as a dense symmetric array."""
+    bands, order = run.bands, run.bands.shape[1]
+    T = np.zeros((order, order))
+    for d in range(min(bands.shape[0], order)):
+        T[np.arange(d, order), np.arange(order - d)] = bands[d, :order - d]
+    return np.tril(T) + np.tril(T, -1).T
 
 
 def probe(seed, k, n):
@@ -294,49 +270,85 @@ def probe(seed, k, n):
     return rng.integers(0, 2, size=n) * 2.0 - 1.0
 
 
-def gauss_values(tri, n):
-    """n * e1^T T^-1 e1 for each column's tridiagonal, cut to its own steps."""
-    values = []
-    for j, s in enumerate(tri.steps):
-        theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha[:s, j], tri.beta[:s - 1, j])
-        values.append(n * np.sum(vecs[0, :] ** 2 / theta))
-    return np.array(values)
+def exact_forms(M, Z):
+    """z_i^T M^-1 z_i for each column of Z."""
+    return np.einsum("ij,ij->j", Z, np.linalg.solve(M.to_dense(), Z))
+
+
+class TestLanczos:
+    def test_scaled_identity_truncates_to_degree_one(self):
+        run = lanczos(SpdMatrix.from_dense(3.0 * np.eye(6)), np.ones(6), degree=5)
+        # perfbench's tracer reads .degree as the number of steps a call ran
+        assert run.degree == 1
+        np.testing.assert_allclose(run.bands, [[3.0], [0.0]])
+        assert run.gauss == pytest.approx([6 / 3.0], rel=1e-14)
+
+    def test_two_by_two_by_hand(self):
+        M = SpdMatrix.from_dense(np.diag([1.0, 2.0]))
+        v0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        run = lanczos(M, v0, degree=2)
+        np.testing.assert_allclose(run.bands[0], [1.5, 1.5], rtol=1e-14)
+        assert abs(run.bands[1, 0]) == pytest.approx(0.5, rel=1e-13)
+        assert run.gauss == pytest.approx([0.75], rel=1e-14)
+
+    def test_full_degree_recovers_spectrum(self, rng):
+        n = 50
+        lam = np.sort(rng.uniform(0.5, 10.0, n))
+        M, _ = spd_from_eigenvalues(rng, lam)
+        run = lanczos(M, rng.standard_normal(n), degree=n)
+        assert run.degree == n
+        theta = scipy.linalg.eig_banded(run.bands, lower=True, eigvals_only=True)
+        np.testing.assert_allclose(np.sort(theta), lam, rtol=1e-8)
+
+    def test_coupling_nonzero_until_breakdown(self, rng):
+        M, _ = spd_from_eigenvalues(rng, rng.uniform(1, 4, 20))
+        run = lanczos(M, rng.standard_normal(20), degree=15)
+        assert run.degree == 15 and np.all(np.abs(run.bands[1, :-1]) > 0)
+
+    def test_zero_start_vector_rejected(self):
+        with pytest.raises(InvalidShape):
+            lanczos(SpdMatrix.identity(4), np.zeros(4), degree=2)
 
 
 class TestLanczosBlock:
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 10_000))
-    def test_property_full_degree_gauss_value_is_exact(self, n, b, seed):
+    @given(st.integers(1, 12), st.integers(1, 15), st.integers(0, 10_000))
+    def test_property_full_krylov_order_gauss_value_is_exact(self, n, b, seed):
+        # once the block Krylov space has order n every g_i is z_i^T M^-1 z_i; b > n starts
+        # from a rank-deficient block
         rng = np.random.default_rng(seed)
         M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, n))
         Z = rng.standard_normal((n, b))
-        exact = np.einsum("ij,ij->j", Z, np.linalg.solve(M.to_dense(), Z))
-        np.testing.assert_allclose(gauss_values(lanczos(M, Z, degree=n), n),
-                                   exact * n / np.sum(Z**2, axis=0), rtol=1e-10)
+        run = lanczos(M, Z, degree=n)
+        assert run.bands.shape[1] == n
+        np.testing.assert_allclose(run.gauss, exact_forms(M, Z), rtol=1e-10)
 
-    def test_mixed_breakdown_stops_each_column_on_its_own(self):
-        d = np.array([1.0, 1, 1, 2, 2, 2, 5, 5])
-        Z = np.column_stack([np.eye(8)[0] + np.eye(8)[1], np.ones(8)])
-        tri = lanczos(SpdMatrix.from_dense(np.diag(d)), Z, degree=8)
-        assert list(tri.steps) == [1, 3] and tri.degree == 3
-        exact = np.sum(Z**2 / d[:, None], axis=0) * 8 / np.sum(Z**2, axis=0)
-        np.testing.assert_allclose(gauss_values(tri, 8), exact, rtol=1e-13)
-        assert np.all(tri.alpha[1:, 0] == 0.0)
+    @pytest.mark.parametrize("b, order, steps", [(1, 3, 3), (2, 6, 3), (5, 8, 2)])
+    def test_three_distinct_eigenvalues_end_on_an_empty_block(self, rng, b, order, steps):
+        # each eigenspace adds min(b, its multiplicity) to the Krylov space's order
+        M, _ = spd_from_eigenvalues(rng, [1.0, 1, 1, 2, 2, 2, 5, 5])
+        Z = rng.standard_normal((8, b))
+        run = lanczos(M, Z, degree=8)
+        assert run.degree == steps and run.bands.shape[1] == order
+        np.testing.assert_allclose(run.gauss, exact_forms(M, Z), rtol=1e-10)
 
-    def test_columns_match_single_calls_and_permute(self, rng):
+    def test_more_probes_than_order_deflate_the_start_block(self):
+        M = shifted_operand(build_exponential_kernel(grid_points(6), rho=0.1), None, 0.01)
+        Z = next(traceinv.estimators._probe_blocks(M.n, 50, 1))
+        run = lanczos(M, Z, degree=30, se_fraction=0.1)
+        assert run.degree == 1 and run.bands.shape[1] == M.n
+        np.testing.assert_allclose(run.gauss, exact_forms(M, Z), rtol=1e-10)
+        np.testing.assert_array_equal(run.gap, 0.0)
+
+    def test_permuting_the_columns_permutes_the_values(self, rng):
         n, b = 40, 7
         M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, n))
+        M = shifted_operand(M, None, 0.1)
         Z = rng.standard_normal((n, b))
-        tri = lanczos(M, Z, degree=10)
-        for j in range(b):
-            one = lanczos(M, Z[:, j], degree=10)
-            assert one.alpha.shape == (10,) and one.steps == 10
-            np.testing.assert_allclose(tri.alpha[:, j], one.alpha, rtol=1e-10)
-            np.testing.assert_allclose(tri.beta[:, j], one.beta, rtol=1e-10)
         perm = rng.permutation(b)
-        swapped = lanczos(M, Z[:, perm], degree=10)
-        np.testing.assert_allclose(swapped.alpha, tri.alpha[:, perm], rtol=1e-10)
-        np.testing.assert_allclose(swapped.beta, tri.beta[:, perm], rtol=1e-10)
+        for degree in (1, 3, 5):
+            run, swapped = lanczos(M, Z, degree), lanczos(M, Z[:, perm], degree)
+            np.testing.assert_allclose(swapped.gauss, run.gauss[perm], rtol=1e-12)
 
     def test_zero_column_rejected(self):
         with pytest.raises(InvalidShape):
@@ -360,17 +372,16 @@ class TestProbeBlocks:
         assert est.std_error == pytest.approx(np.std(samples, ddof=1) / np.sqrt(self.N_V),
                                               rel=1e-12)
 
-    def test_slq_matches_per_probe_lanczos(self, rng):
-        M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, 30))
-        samples = []
-        for k in range(self.N_V):
-            tri = lanczos(M, probe(self.SEED, k, 30), degree=8)
-            theta, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha, tri.beta)
-            samples.append(30 * np.sum(vecs[0, :] ** 2 / theta))
-        est = trace_inv_slq(M, n_v=self.N_V, degree=8, seed=self.SEED)
-        assert est.value == pytest.approx(np.mean(samples), rel=1e-10)
+    def test_slq_samples_are_each_blocks_gauss_values(self, rng):
+        # 35 probes for 2 steps span 70 of the 100 dimensions, so the split is seen
+        M, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-1.0, 1.0, 100))
+        blocks = (np.column_stack([probe(self.SEED, k, 100) for k in part])
+                  for part in (range(35), range(35, self.N_V)))
+        samples = np.concatenate([lanczos(M, Z, 2).gauss for Z in blocks])
+        est = trace_inv_slq(M, n_v=self.N_V, degree=2, seed=self.SEED)
+        assert est.value == pytest.approx(np.mean(samples), rel=1e-12)
         assert est.std_error == pytest.approx(np.std(samples, ddof=1) / np.sqrt(self.N_V),
-                                              rel=1e-10)
+                                              rel=1e-12)
 
 
 class TestProbeSplit:
@@ -435,57 +446,60 @@ class TestSlq:
 
 
 def capped_slq(M, n_v, degree, seed):
-    """SLQ run to the cap: each block's recurrences with no ``se_fraction``, then Gauss values."""
+    """SLQ run to the cap: each block's ``lanczos`` run with no ``se_fraction``."""
     blocks = traceinv.estimators._probe_blocks(M.n, n_v, seed)
-    samples = np.concatenate([gauss_values(lanczos(M, Z, degree), M.n) for Z in blocks])
-    return float(np.mean(samples))
+    return float(np.mean(np.concatenate([lanczos(M, Z, degree).gauss for Z in blocks])))
 
 
-class TestGaussRadauStop:
-    """``degree`` is a cap: a certified operand stops at its Gauss-Radau bracket."""
+def krylov_galerkin(M, Z, k):
+    """(g_i, |z_i - M x_i|^2) for the Galerkin solutions x_i of M x = z_i on the block Krylov
+    space span{Z, MZ, ..., M^(k-1) Z}, built explicitly (no recurrence)."""
+    dense, blocks = M.to_dense(), [Z]
+    for _ in range(k - 1):
+        blocks.append(dense @ blocks[-1])
+    basis = scipy.linalg.orth(np.hstack(blocks), rcond=1e-12)
+    X = basis @ np.linalg.solve(basis.T @ dense @ basis, basis.T @ Z)
+    return np.einsum("ij,ij->j", Z, X), np.sum((Z - dense @ X) ** 2, axis=0)
 
-    @staticmethod
-    def bracket_steps(tri, a):
-        """(g_k, r_k) of every step k of a single recurrence, by ``_gauss_radau``."""
-        beta = np.append(tri.beta, 0.0)  # beta[k] is the coefficient after step k
-        state, steps = None, []
-        for k in range(tri.degree):
-            state = _gauss_radau(state, tri.alpha[k], beta[k - 1] if k else 0.0, beta[k], a)
-            steps.append((state.gauss, state.radau, state.ok))
-        return steps
+
+class TestBlockBracket:
+    """``degree`` is a cap: a certified operand stops once each probe's gap is small."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 14), st.floats(1e-3, 10.0), st.integers(0, 10_000))
-    def test_property_bracket_holds_at_every_step(self, n, t, seed):
-        # B = I, node = shift: g_k <= z^T M^-1 z / |z|^2 <= r_k, to 1e-12 relative
+    @given(st.integers(2, 14), st.integers(1, 4), st.floats(1e-3, 10.0), st.integers(0, 10_000))
+    def test_property_bracket_holds_at_every_step(self, n, b, t, seed):
+        # B = I, node = shift: g_i <= z_i^T M^-1 z_i <= g_i + gap_i, to 1e-12 relative
         rng = np.random.default_rng(seed)
         A, _ = spd_from_eigenvalues(rng, 10.0 ** rng.uniform(-3.0, 1.0, n))
-        M = shifted_operand(A, None, t)
-        z = rng.standard_normal(n)
-        exact = z @ np.linalg.solve(M.to_dense(), z) / (z @ z)
-        steps = self.bracket_steps(lanczos(M, z, degree=n), t)
-        for gauss, radau, ok in steps:
-            assert ok
-            assert gauss <= exact * (1.0 + 1e-12) and radau >= exact * (1.0 - 1e-12)
-        assert steps[-1][0] == pytest.approx(exact, rel=1e-10)
+        M = shifted_operand(replace(A, psd=True), None, t)
+        Z = rng.standard_normal((n, b))
+        exact = exact_forms(M, Z)
+        for degree in range(1, n + 1):
+            run = lanczos(M, Z, degree)
+            assert np.all(run.gauss <= exact * (1.0 + 1e-12))
+            assert np.all(run.gauss + run.gap >= exact * (1.0 - 1e-12))
+            if run.degree < degree:
+                break
+        np.testing.assert_allclose(run.gauss, exact, rtol=1e-10)
 
-    def test_recurrence_matches_explicit_rules(self, rng):
-        # g_k = e1^T T_k^-1 e1; r_k = e1^T R^-1 e1 for the Radau matrix R of order k + 1,
-        # which has the node a as an eigenvalue
-        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.0, 3.0, 12))
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_recurrence_matches_the_explicit_galerkin_solution(self, rng, b):
+        # g_i = z_i^T x_i and gap_i = |z_i - M x_i|^2 / a for x_i on the block Krylov space,
+        # and T_k's eigenvalues are the Ritz values there
+        A, _ = spd_from_eigenvalues(rng, rng.uniform(0.0, 3.0, 30))
         a = 0.25
-        tri = lanczos(shifted_operand(A, None, a), rng.standard_normal(12), degree=6)
-        for k, (gauss, radau, _) in enumerate(self.bracket_steps(tri, a)[:-1], start=1):
-            off = tri.beta[:k - 1]
-            T = np.diag(tri.alpha[:k]) + np.diag(off, 1) + np.diag(off, -1)
-            e1 = np.eye(k + 1)[0]
-            delta = np.linalg.solve(T - a * np.eye(k), tri.beta[k - 1] ** 2 * np.eye(k)[-1])
-            R = np.zeros((k + 1, k + 1))
-            R[:k, :k], R[k, k] = T, a + delta[-1]
-            R[k, k - 1] = R[k - 1, k] = tri.beta[k - 1]
-            assert np.min(np.linalg.eigvalsh(R)) == pytest.approx(a, rel=1e-10)
-            assert gauss == pytest.approx(np.linalg.solve(T, e1[:k])[0], rel=1e-12)
-            assert radau == pytest.approx(np.linalg.solve(R, e1)[0], rel=1e-10)
+        M = shifted_operand(replace(A, psd=True), None, a)
+        Z = rng.standard_normal((30, b))
+        for k in range(1, 5):
+            run = lanczos(M, Z, k)
+            gauss, residual = krylov_galerkin(M, Z, k)
+            np.testing.assert_allclose(run.gauss, gauss, rtol=1e-10)
+            np.testing.assert_allclose(run.gap, residual / a, rtol=1e-8)
+            basis = scipy.linalg.orth(np.hstack([np.linalg.matrix_power(M.to_dense(), j) @ Z
+                                                 for j in range(k)]))
+            np.testing.assert_allclose(np.linalg.eigvalsh(tridiagonal(run)),
+                                       np.linalg.eigvalsh(basis.T @ M.to_dense() @ basis),
+                                       rtol=1e-10)
 
     @pytest.mark.parametrize("t", [1.0, 10.0])
     def test_kernel_stop_within_a_tenth_se_of_the_cap(self, t):
@@ -493,16 +507,19 @@ class TestGaussRadauStop:
         stopped = trace_inv_slq(M, n_v=30, degree=30, seed=2)
         assert stopped.degree < 30 and stopped.record()["degree"] == stopped.degree
         capped = capped_slq(M, 30, 30, 2)
-        assert abs(stopped.value - capped) <= RADAU_SE_FRACTION * stopped.std_error
+        assert abs(stopped.value - capped) <= BRACKET_SE_FRACTION * stopped.std_error
 
     def test_lanczos_reads_its_node_from_the_operand(self):
-        # the node is the certified shift; no fraction, or one column, runs to the cap
+        # the node is the certified shift; no fraction, or one column, runs to the cap, and
+        # 8 columns for 8 steps stay below the order 100 where the Krylov space would end
         M = shifted_operand(build_exponential_kernel(grid_points(10), rho=0.1), None, 10.0)
         Z = next(traceinv.estimators._probe_blocks(M.n, 8, 0))
-        assert lanczos(M, Z, 20, 0.1).degree < 20
-        assert lanczos(M, Z, 20).degree == 20
-        assert lanczos(M, Z[:, 0], 20, 0.1).degree == 20
-        assert lanczos(SpdMatrix.from_dense(M.to_dense()), Z, 20, 0.1).degree == 20
+        assert lanczos(M, Z, 8, 0.1).degree < 8
+        assert lanczos(M, Z, 8).degree == 8
+        one = lanczos(M, Z[:, 0], 8, 0.1)
+        assert one.degree == 8 and one.gap is not None
+        uncertified = lanczos(SpdMatrix.from_dense(M.to_dense()), Z, 8, 0.1)
+        assert uncertified.degree == 8 and uncertified.gap is None
 
     @pytest.mark.parametrize("case", ["from_dense", "stored_b", "zero_shift", "negative_shift",
                                       "one_probe", "indefinite_stored_part"])
@@ -516,22 +533,49 @@ class TestGaussRadauStop:
             "negative_shift": lambda: shifted_operand(K, None, -0.01),
             "one_probe": lambda: shifted_operand(K, None, 10.0),
             # lambda_min(A) = -0.05, so the shift 1 is no lower bound on A + I's spectrum; were
-            # it taken as the node, the block would stop at step 6 with every pivot positive
+            # it taken as the node, the block would stop at step 3
             "indefinite_stored_part": lambda: shifted_operand(SpdMatrix.from_dense(
                 K.to_dense() - (np.linalg.eigvalsh(K.to_dense())[0] + 0.05) * np.eye(K.n)),
                 None, 1.0),
         }[case]()
-        est = trace_inv_slq(M, n_v=n_v, degree=12, seed=4)
-        assert est.degree == 12
-        assert est.value.hex() == capped_slq(M, n_v, 12, 4).hex()
+        # 30 probes for 4 steps stay below the order 144 where the Krylov space would end
+        est = trace_inv_slq(M, n_v=n_v, degree=4, seed=4)
+        assert est.degree == 4 and (est.bias_bound is None) == (case != "one_probe")
+        assert est.value.hex() == capped_slq(M, n_v, 4, 4).hex()
 
     def test_degree_recorded_per_method(self):
         M = shifted_operand(build_exponential_kernel(grid_points(8), rho=0.1), None, 100.0)
-        assert trace_inv_slq(M, n_v=10, degree=20, seed=0).degree < 20
+        slq = trace_inv_slq(M, n_v=10, degree=20, seed=0)
+        assert slq.degree < 20 and 0.0 <= slq.record()["bias_bound"] == slq.bias_bound
         assert trace_inv_slq(SpdMatrix.from_dense(4.0 * np.eye(9)), 5, 7, 0).degree == 1
         for est in (trace_inv_exact_cholesky(M), trace_inv_hutchinson(M, n_v=3, seed=0),
                     prepare_trace(M, method="eigen")([0.0])[0]):
             assert est.degree == 0 and est.record()["degree"] == 0
+            assert est.record()["bias_bound"] is None
+
+    def test_cap_with_an_open_bracket_warns_once(self):
+        # n = 225: 3 steps at t = 1e-2 leave a bias bound of about 50 standard errors
+        K = build_exponential_kernel(grid_points(15), rho=0.1)
+        with pytest.warns(UserWarning, match="shift 0.01 ran to its cap of 3") as caught:
+            est = trace_inv_slq(shifted_operand(K, None, 1e-2), n_v=30, degree=3, seed=0)
+        assert len(caught) == 1 and est.bias_bound > est.std_error
+
+    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+    def test_default_cap_at_large_shifts_does_not_warn(self, t):
+        K = build_exponential_kernel(grid_points(20), rho=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_trace_inv(shifted_operand(K, None, t), method="slq")
+        assert est.degree < 30 and est.bias_bound <= BRACKET_SE_FRACTION * est.std_error
+
+    def test_kernel_2500_seed_17_passes_its_gate(self):
+        # the cap of 30 single-vector steps left -4.34 SE here; the block run stops at 16
+        M = shifted_operand(build_exponential_kernel(grid_points(50), rho=0.1), None, 1e-2)
+        slq = trace_inv_slq(M, n_v=30, degree=30, seed=17)
+        hutchinson = trace_inv_hutchinson(M, n_v=30, seed=17)
+        assert slq.degree < 30
+        assert abs(slq.value - trace_inv_exact_cholesky(M).value) <= 4.0 * slq.std_error
+        assert abs(slq.value - hutchinson.value) <= 0.1 * slq.std_error
 
 
 @pytest.mark.parametrize("estimator, options", [(trace_inv_hutchinson, {}),

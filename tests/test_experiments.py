@@ -126,6 +126,19 @@ class TestGpExperiment:
         gp_experiment(side=8, p_values=(1, 9), sweep=(1e-4, 1e3, 3))
         assert cholesky_calls == [64] * 11
 
+    def test_sweep_below_a_small_t_floor_refused_before_any_trace(self, monkeypatch):
+        # the exact curve ran (23 traces) before the fit refused t = 1e-8
+        calls = []
+        exact = traceinv.estimators.trace_inv_exact_cholesky
+        monkeypatch.setattr(traceinv.estimators, "trace_inv_exact_cholesky",
+                            lambda M: calls.append(M.n) or exact(M))
+        with pytest.raises(InvalidShape, match=r"t=1\.000e-08 is below the small-t floor "
+                                               r"1\.000e-03 where the basis family oscillates"):
+            gp_experiment(side=8, nodes=(1, 10, 100), p_values=(3,), sweep=(1e-8, 1, 20))
+        assert calls == []
+        gp_experiment(side=8, nodes=(1, 10, 100), p_values=(3,), sweep=(1e-3, 1, 3))
+        assert len(calls) == 6  # tau0, the sweep 1e-3, 0.03 and 1, and the nodes 10 and 100
+
     @pytest.mark.parametrize("count", [0, -2, 2.5])
     def test_empty_sweep_refused(self, count):
         with pytest.raises(InvalidShape, match="sweep count"):
